@@ -137,6 +137,18 @@ let probe_abstract t ~cluster =
 
 (* ---- Modeled modes: timing real accesses against the hierarchy ---- *)
 
+(* Only a scenario that asked for a cache has one; [deploy] calls this
+   before spawning anything, so a cache-less platform fails there. *)
+let modeled_cache platform fidelity =
+  match platform.Platform.cache with
+  | Some cache -> cache
+  | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Cache_prober.deploy: %s times the modeled cache, but this \
+            platform has none; pass Scenario.create ~cache"
+           (fidelity_to_string fidelity))
+
 let probe_core t ~cluster = t.clusters.(cluster).(0)
 
 (* Mean observed per-access latency for a round that was served [counts] =
@@ -162,7 +174,7 @@ let round_latency t (l1, l2, mem) =
    what keeps the channel cluster-grained. *)
 let probe_prime_probe t ~cluster =
   let core = probe_core t ~cluster in
-  let cache = t.platform.Platform.cache in
+  let cache = modeled_cache t.platform t.config.fidelity in
   let l1 = ref 0 and l2 = ref 0 and mem = ref 0 in
   Array.iter
     (fun set_addrs ->
@@ -202,7 +214,7 @@ let probe_prime_probe t ~cluster =
    experiment tabulates. *)
 let probe_evict_reload t ~cluster =
   let core = probe_core t ~cluster in
-  let cache = t.platform.Platform.cache in
+  let cache = modeled_cache t.platform t.config.fidelity in
   let hot = ref 0 and l1 = ref 0 and l2 = ref 0 and mem = ref 0 in
   Array.iteri
     (fun i target ->
@@ -295,12 +307,13 @@ let build_er cache ~clusters ~n ~region:(rbase, rlen) =
 
 let deploy kernel config =
   let platform = kernel.Kernel.platform in
-  let cache = platform.Platform.cache in
   let clusters = Platform.clusters platform in
   let n = Array.length clusters in
   let pp_sets =
     match config.fidelity with
-    | Prime_probe -> build_pp_sets cache ~clusters ~n:config.monitored_sets
+    | Prime_probe ->
+        build_pp_sets (modeled_cache platform config.fidelity) ~clusters
+          ~n:config.monitored_sets
     | Abstract | Evict_reload -> Array.make n [||]
   in
   let er_targets, er_evsets =
@@ -314,7 +327,8 @@ let deploy kernel config =
               ( Satin_kernel.Layout.base layout,
                 Satin_kernel.Layout.total_size layout )
         in
-        build_er cache ~clusters ~n:config.monitored_sets ~region
+        build_er (modeled_cache platform config.fidelity) ~clusters
+          ~n:config.monitored_sets ~region
     | Abstract | Prime_probe -> Array.make n [||], Array.make n [||]
   in
   let t =

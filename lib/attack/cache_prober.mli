@@ -88,7 +88,11 @@ type t
 val deploy : Satin_kernel.Kernel.t -> config -> t
 (** One priming/probing RT thread per cluster (on the cluster's first
     core). Probing starts immediately. Clusters come from the platform's
-    computed topology, so any core mix works. *)
+    computed topology, so any core mix works.
+
+    @raise Invalid_argument for {!Prime_probe} or {!Evict_reload} on a
+    platform without a cache model: build the scenario with
+    [Scenario.create ~cache]. {!Abstract} needs no cache. *)
 
 val on_suspect : t -> (detection -> unit) -> unit
 (** Fired on each probe round that crosses the detection threshold

@@ -1962,10 +1962,12 @@ let cache_scan_len layout = min (Layout.total_size layout) (2 * 1024 * 1024)
 
 let cache_fidelity_trial ~seed ~trials ~window_s ~cells ~trial_index =
   let cell = cells.(trial_index / trials) in
-  let s =
-    Scenario.create ~seed:(derive seed trial_index)
-      ~cache:(cache_config_of_cell cell) ()
+  (* Only the modeled modes read the cache; abstract cells simulate none. *)
+  let cache =
+    if cell.cc_fidelity = Cache_prober.Abstract then None
+    else Some (cache_config_of_cell cell)
   in
+  let s = Scenario.create ~seed:(derive seed trial_index) ?cache () in
   let platform = s.Scenario.platform in
   let engine = Scenario.engine s in
   let kernel = s.Scenario.kernel in

@@ -500,7 +500,8 @@ val cache_fidelity_trial :
   cells:cache_cell array ->
   trial_index:int ->
   cache_trial
-(** Cell [trial_index / trials], trial seed [derive seed trial_index]. *)
+(** Cell [trial_index / trials], trial seed [derive seed trial_index].
+    Abstract cells, the cache-blind controls, simulate no cache. *)
 
 type cache_row = {
   cr_fidelity : Satin_attack.Cache_prober.fidelity;

@@ -39,7 +39,7 @@ let create ?(seed = 42) ?cycle ?cache ?layout
       ~base:secure_base ~size:secure_size
   in
   let checker =
-    Satin_introspect.Checker.create ~cache:platform.Platform.cache
+    Satin_introspect.Checker.create ?cache:platform.Platform.cache
       ~memory:platform.Platform.memory ~cycle:platform.Platform.cycle
       ~prng:(Platform.split_prng platform) ~algo ~style ()
   in

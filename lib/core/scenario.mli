@@ -28,9 +28,10 @@ val create :
   ?style:Satin_introspect.Checker.style ->
   unit ->
   t
-(** Defaults: seed 42, Juno r1 calibration, the default cache geometry
-    ({!Satin_cache.Cache.default_config}), the paper kernel layout, djb2,
-    direct hash. *)
+(** Defaults: seed 42, Juno r1 calibration, the paper kernel layout, djb2,
+    direct hash, and no cache model: omit [?cache] and nothing fills one.
+    Pass a geometry only when something reads the cache (the modeled
+    {!Satin_attack.Cache_prober} modes). *)
 
 val run_for : t -> Satin_engine.Sim_time.t -> unit
 (** Advance the simulation by a duration. Under [--check], every

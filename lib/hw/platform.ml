@@ -13,7 +13,7 @@ type t = {
   tick_timers : Timer.t array;
   monitor : Monitor.t;
   clusters : int array array;
-  cache : Cache.t;
+  cache : Cache.t option;
 }
 
 let secure_timer_irq = 29
@@ -35,8 +35,7 @@ let clusters_of_core_types types =
   Array.of_list (List.rev_map Array.of_list !groups)
 
 let create ?(seed = 42) ?(cycle = Cycle_model.default)
-    ?(mem_size = 32 * 1024 * 1024) ?(cache = Cache.default_config) ~core_types
-    () =
+    ?(mem_size = 32 * 1024 * 1024) ?cache ~core_types () =
   let ncores = Array.length core_types in
   if ncores = 0 then invalid_arg "Platform.create: need at least one core";
   let engine = Engine.create () in
@@ -54,8 +53,8 @@ let create ?(seed = 42) ?(cycle = Cycle_model.default)
   let timer_for irq cpu = Timer.create ~engine ~gic ~cpu ~irq in
   let clusters = clusters_of_core_types core_types in
   (* The cache draws only for the Rand policy, from a stream derived purely
-     from the seed: building (or replacing) a cache never advances the
-     platform PRNG, so every pre-cache experiment output is unchanged. *)
+     from the seed: requesting a cache never advances the platform PRNG, so
+     asking for one leaves every other draw unchanged. *)
   let cache_prng = Prng.create (Prng.derive seed 0xCAC4E) in
   {
     engine;
@@ -68,7 +67,7 @@ let create ?(seed = 42) ?(cycle = Cycle_model.default)
     tick_timers = Array.map (timer_for tick_irq) cores;
     monitor;
     clusters;
-    cache = Cache.create ~prng:cache_prng ~clusters cache;
+    cache = Option.map (Cache.create ~prng:cache_prng ~clusters) cache;
   }
 
 let juno_r1 ?seed ?cycle ?cache () =
@@ -79,7 +78,8 @@ let ncores t = Array.length t.cores
 let core t i = t.cores.(i)
 let split_prng t = Prng.split t.prng
 let clusters t = t.clusters
-let cluster_of_core t ~core = Cache.cluster_of_core t.cache ~core
+let cluster_of_core t ~core =
+  Option.get (Array.find_index (Array.mem core) t.clusters)
 
 let cores_of_type t ct =
   Array.to_list t.cores

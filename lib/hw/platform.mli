@@ -23,8 +23,8 @@ type t = {
   clusters : int array array;
       (** cluster index -> member core ids: maximal runs of consecutive
           same-type cores (the Juno's per-cluster shared L2 layout) *)
-  cache : Satin_cache.Cache.t;
-      (** the modeled L1/L2 hierarchy over {!clusters} *)
+  cache : Satin_cache.Cache.t option;
+      (** the modeled L1/L2 hierarchy over {!clusters}, iff requested *)
 }
 
 val secure_timer_irq : Gic.irq
@@ -42,10 +42,11 @@ val create :
   unit ->
   t
 (** Default memory size is 32 MiB — comfortably above the 11.4 MiB kernel
-    image plus secure carve-out. Default seed is 42; default cache geometry
-    is {!Satin_cache.Cache.default_config}. The cache's randomness (drawn
-    only under the [Rand] policy) comes from a stream derived purely from
-    the seed, never from the platform PRNG. *)
+    image plus secure carve-out. Default seed is 42. Omit [?cache] and
+    there is no cache model; pass a geometry (e.g.
+    {!Satin_cache.Cache.default_config}) to get one. The cache's randomness
+    (drawn only under the [Rand] policy) comes from a stream derived purely
+    from the seed, never from the platform PRNG. *)
 
 val juno_r1 :
   ?seed:int -> ?cycle:Cycle_model.t -> ?cache:Satin_cache.Cache.config ->

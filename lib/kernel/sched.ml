@@ -7,15 +7,16 @@ module Obs = Satin_obs.Obs
 
 (* Every CFS task owns a fixed 8 KiB working-set footprint in a dedicated
    address window (above the 32 MiB simulated DRAM — the cache model is
-   presence-only, so footprints need no backing store). Dispatching the
-   task re-touches it on the dispatching core: hot re-dispatches are all
-   cache hits, a migration or a competing working set refills through the
-   shared L2 — the benign-eviction noise floor the cache probers must
-   threshold above. RT tasks (probers, introspection threads) model as
-   footprint-free tight loops. Slots are assigned per scheduler in
-   first-dispatch order — task ids come from a process-global counter, so
-   keying the address on them would make the footprint (and the probers'
-   noise floor) depend on how many tasks earlier scenarios created. *)
+   presence-only, so footprints need no backing store). If the platform
+   has a cache model, dispatching the task re-touches it on the dispatching
+   core: hot re-dispatches are all cache hits, a migration or a competing
+   working set refills through the shared L2 — the benign-eviction noise
+   floor the cache probers must threshold above. RT tasks (probers,
+   introspection threads) model as footprint-free tight loops. Slots are
+   assigned per scheduler in first-dispatch order — task ids come from a
+   process-global counter, so keying the address on them would make the
+   footprint (and the probers' noise floor) depend on how many tasks
+   earlier scenarios created. *)
 let footprint_bytes = 8192
 let footprint_window = 1 lsl 27
 
@@ -43,7 +44,7 @@ type core_sched = {
 
 type t = {
   engine : Engine.t;
-  cache : Cache.t;
+  cache : Cache.t option; (* the platform's; None: no footprint touches *)
   cores : core_sched array;
   mutable enqueue_hooks : (core:int -> unit) list;
   mutable switches : int;
@@ -147,9 +148,11 @@ let rec dispatch ?(fuel = 64) t cs =
         | _ -> remove_task cs task);
         Task.set_state task Task.Running;
         Task.incr_dispatches task;
-        if Task.policy task = Task.Cfs then
-          Cache.touch_range t.cache ~core:(Cpu.id cs.cpu)
-            ~addr:(footprint_base t task) ~len:footprint_bytes;
+        (match t.cache with
+        | Some cache when Task.policy task = Task.Cfs ->
+            Cache.touch_range cache ~core:(Cpu.id cs.cpu)
+              ~addr:(footprint_base t task) ~len:footprint_bytes
+        | _ -> ());
         t.switches <- t.switches + 1;
         if Obs.active () then begin
           Obs.incr "sched.dispatches";

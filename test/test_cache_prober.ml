@@ -118,6 +118,30 @@ let test_noise_produces_false_alarms () =
     (Cache_prober.detections p);
   Cache_prober.retire p
 
+(* A modeled prober times the platform's cache model; on a scenario built
+   without [~cache] there is none, and [deploy] must say how to get one. *)
+let test_modeled_mode_needs_cache () =
+  List.iter
+    (fun fidelity ->
+      let s = Scenario.create ~seed:88 () in
+      match
+        Cache_prober.deploy s.Scenario.kernel
+          { quiet_config with Cache_prober.fidelity }
+      with
+      | _ ->
+          Alcotest.failf "%s deployed without a cache"
+            (Cache_prober.fidelity_to_string fidelity)
+      | exception Invalid_argument msg ->
+          let hint = "Scenario.create ~cache" in
+          let n = String.length hint in
+          let rec mentions i =
+            i + n <= String.length msg
+            && (String.sub msg i n = hint || mentions (i + 1))
+          in
+          if not (mentions 0) then
+            Alcotest.failf "message does not point at %s: %s" hint msg)
+    [ Cache_prober.Prime_probe; Cache_prober.Evict_reload ]
+
 let test_e14_end_to_end () =
   let r = Satin.Experiment.run_e14 ~seed:5 ~passes:1 () in
   Alcotest.(check bool) "rounds ran" true (r.Satin.Experiment.e14_rounds >= 15);
@@ -145,5 +169,7 @@ let suite =
     Alcotest.test_case "sub-lag residency invisible" `Quick
       test_short_residency_below_lag_invisible;
     Alcotest.test_case "noise false alarms" `Quick test_noise_produces_false_alarms;
+    Alcotest.test_case "modeled mode needs a cache" `Quick
+      test_modeled_mode_needs_cache;
     Alcotest.test_case "E14 end to end" `Slow test_e14_end_to_end;
   ]
