@@ -1,7 +1,7 @@
 (* Command-line driver for the SATIN reproduction experiments. *)
 
 open Cmdliner
-module E = Satin.Experiment
+module R = Satin.Registry
 module Obs = Satin_obs.Obs
 module Json = Satin_obs.Json
 module Progress = Satin_obs.Progress
@@ -185,22 +185,9 @@ let with_progress progress f =
     Fun.protect ~finally:Progress.finish f
   end
 
-let simple name doc f =
-  let run seed jobs trace metrics check full_rehash store no_store progress =
-    let pool = Runner.create ~jobs () in
-    with_progress progress (fun () ->
-        with_full_rehash full_rehash (fun () ->
-            with_check check (fun () ->
-                with_store store no_store (fun () ->
-                    with_obs trace metrics (fun () -> f pool seed)))))
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ seed_arg $ jobs_arg $ trace_arg $ metrics_arg $ check_arg
-      $ full_rehash_arg $ store_arg $ no_store_arg $ progress_arg)
-
-(* Like [simple] but with the [--quick] flag. *)
-let campaign name doc f =
+(* A seeded command: [--seed], [--quick] and [--jobs] on top of the
+   export, check and store flags. *)
+let seeded name doc f =
   let run seed quick jobs trace metrics check full_rehash store no_store
       progress =
     let pool = Runner.create ~jobs () in
@@ -229,114 +216,24 @@ let closed_form name doc f =
       const run $ trace_arg $ metrics_arg $ check_arg $ full_rehash_arg
       $ store_arg $ no_store_arg $ progress_arg)
 
-let e1 = simple "e1" "World-switch latency (Sec IV-B1)"
-    (fun pool seed -> E.print_e1 fmt (E.run_e1 ~pool ~seed ()))
+let run_view ?pool ?seed ?quick name =
+  ignore (R.run_view ?pool ?seed ?quick fmt name)
 
-let table1 = simple "table1" "Table I: per-byte introspection cost"
-    (fun pool seed -> E.print_table1 fmt (E.run_table1 ~pool ~seed ()))
+(* One subcommand per registry view. *)
+let experiment_cmds =
+  List.concat_map
+    (fun (e : R.t) ->
+      List.map
+        (fun (name, doc) ->
+          if e.R.seeded then
+            seeded name doc (fun pool seed quick ->
+                run_view ~pool ~seed ~quick name)
+          else closed_form name doc (fun () -> run_view name))
+        ((e.R.name, e.R.doc) :: e.R.also))
+    R.entries
 
-let e3 = simple "e3" "Attacker recovery time (Sec IV-B2)"
-    (fun pool seed -> E.print_e3 fmt (E.run_e3 ~pool ~seed ()))
-
-let uprober = simple "uprober" "User-level prober responsiveness (Sec III-B1)"
-    (fun pool seed -> E.print_uprober fmt (E.run_uprober ~pool ~seed ()))
-
-let table2 = campaign "table2" "Table II: probing threshold vs period"
-    (fun pool seed quick ->
-      let rounds = if quick then 15 else 50 in
-      E.print_table2 fmt (E.run_table2 ~pool ~seed ~rounds ()))
-
-let fig4 = campaign "fig4" "Figure 4: probing threshold stability"
-    (fun pool seed quick ->
-      let rounds = if quick then 15 else 50 in
-      E.print_fig4 fmt (E.run_table2 ~pool ~seed ~rounds ()))
-
-let e6 = simple "e6" "Single-core vs all-core probing"
-    (fun pool seed -> E.print_e6 fmt (E.run_e6 ~pool ~seed ()))
-
-let race = closed_form "race" "Sec IV-C race-condition analysis"
-    (fun () -> E.print_e7 fmt (E.run_e7 ()))
-
-let timeline = closed_form "timeline" "Figure 3: two-world race timeline"
-    (fun () -> E.print_timeline fmt Satin.Race.paper_worst_case)
-
-let evasion = campaign "evasion" "E8: TZ-Evader vs PKM-style introspection"
-    (fun pool seed quick ->
-      E.print_e8 fmt
-        (E.run_e8 ~pool ~seed ~duration_s:(if quick then 120 else 400) ()))
-
-let areas = closed_form "areas" "E9: kernel area partition"
-    (fun () -> E.print_e9 fmt (E.run_e9 ()))
-
-let satin_detect =
-  campaign "satin-detect" "E10: SATIN detecting TZ-Evader (Sec VI-B1)"
-    (fun _pool seed quick ->
-      E.print_e10 fmt
-        (E.run_e10 ~seed ~target_rounds:(if quick then 57 else 190) ()))
-
-let fig7 = campaign "fig7" "Figure 7: SATIN overhead on UnixBench"
-    (fun pool seed quick ->
-      E.print_fig7 fmt
-        (E.run_fig7 ~pool ~seed ~window_s:(if quick then 8 else 30) ()))
-
-let dkom = campaign "dkom" "E13: cross-view detection of DKOM process hiding"
-    (fun _pool seed quick ->
-      E.print_e13 fmt (E.run_e13 ~seed ~checks:(if quick then 10 else 30) ()))
-
-let cache_channel =
-  campaign "cache-channel" "E14: SATIN vs the cache-occupancy side channel"
-    (fun _pool seed quick ->
-      E.print_e14 fmt (E.run_e14 ~seed ~passes:(if quick then 1 else 3) ()))
-
-let cache_fidelity =
-  campaign "cache-fidelity"
-    "Side-channel fidelity grid: prober mode x replacement policy x AutoLock"
-    (fun pool seed quick ->
-      E.print_cache_fidelity fmt
-        (E.run_cache_fidelity ~pool ~seed
-           ~trials:(if quick then 1 else 2)
-           ~window_s:(if quick then 6 else 10)
-           ()))
-
-let sweep = campaign "sweep" "Tgoal coverage/overhead sweep"
-    (fun pool seed quick ->
-      E.print_tgoal_sweep fmt
-        (E.run_tgoal_sweep ~pool ~seed ~trials:(if quick then 2 else 4) ()))
-
-let ablation = campaign "ablation" "SATIN randomization ablation"
-    (fun pool seed quick ->
-      E.print_ablation fmt
-        (E.run_ablation ~pool ~seed ~passes:(if quick then 1 else 3) ()))
-
-let inject =
-  campaign "inject" "Fault injection: SATIN detection rate per fault plan"
-    (fun pool seed quick ->
-      E.print_inject fmt
-        (E.run_inject ~pool ~seed
-           ~trials:(if quick then 2 else 4)
-           ~window_s:(if quick then 25 else 30)
-           ()))
-
-let degrade =
-  campaign "degrade" "Graceful degradation vs secure-timer drop severity"
-    (fun pool seed quick ->
-      E.print_degrade fmt
-        (E.run_degrade ~pool ~seed
-           ~trials:(if quick then 2 else 4)
-           ~window_s:(if quick then 25 else 30)
-           ()))
-
-let all = campaign "all" "Run the whole evaluation in paper order"
-    (fun pool seed quick -> E.run_all ~pool ~seed ~quick fmt)
-
-let fleet =
-  campaign "fleet" "Fleet: per-device detection & overhead sweep"
-    (fun pool seed quick ->
-      E.print_fleet fmt
-        (E.run_fleet ~pool ~seed
-           ~devices:(if quick then 16 else 240)
-           ~window_s:(if quick then 10 else 20)
-           ()))
+let all = seeded "all" "Run the whole evaluation in paper order"
+    (fun pool seed quick -> R.run_all ~pool ~seed ~quick fmt)
 
 (* Print the code fingerprint mixed into every store key, so a user can
    explain why a rebuilt binary misses a warmed store: the first stdout
@@ -358,84 +255,13 @@ let fingerprint =
 
 (* The incremental campaign orchestrator: a declared (experiments x seeds)
    sweep. Every trial goes through the result store when one is installed,
-   so re-running a killed campaign only executes the missing trials. *)
-let campaign_experiments : (string * (Runner.t -> int -> bool -> unit)) list =
-  [
-    ("e1", fun pool seed _ -> E.print_e1 fmt (E.run_e1 ~pool ~seed ()));
-    ("table1", fun pool seed _ -> E.print_table1 fmt (E.run_table1 ~pool ~seed ()));
-    ("e3", fun pool seed _ -> E.print_e3 fmt (E.run_e3 ~pool ~seed ()));
-    ( "uprober",
-      fun pool seed quick ->
-        E.print_uprober fmt
-          (E.run_uprober ~pool ~seed ~trials:(if quick then 6 else 20) ()) );
-    ( "table2",
-      fun pool seed quick ->
-        E.print_table2 fmt
-          (E.run_table2 ~pool ~seed ~rounds:(if quick then 15 else 50) ()) );
-    ( "e6",
-      fun pool seed quick ->
-        E.print_e6 fmt
-          (E.run_e6 ~pool ~seed ~rounds:(if quick then 15 else 50) ()) );
-    ( "evasion",
-      fun pool seed quick ->
-        E.print_e8 fmt
-          (E.run_e8 ~pool ~seed ~duration_s:(if quick then 120 else 400) ()) );
-    ( "satin-detect",
-      fun _pool seed quick ->
-        E.print_e10 fmt
-          (E.run_e10 ~seed ~target_rounds:(if quick then 57 else 190) ()) );
-    ( "fig7",
-      fun pool seed quick ->
-        E.print_fig7 fmt
-          (E.run_fig7 ~pool ~seed ~window_s:(if quick then 8 else 30) ()) );
-    ( "ablation",
-      fun pool seed quick ->
-        E.print_ablation fmt
-          (E.run_ablation ~pool ~seed ~passes:(if quick then 1 else 3) ()) );
-    ( "dkom",
-      fun _pool seed quick ->
-        E.print_e13 fmt (E.run_e13 ~seed ~checks:(if quick then 10 else 30) ()) );
-    ( "cache-channel",
-      fun _pool seed quick ->
-        E.print_e14 fmt (E.run_e14 ~seed ~passes:(if quick then 1 else 3) ()) );
-    ( "cache-fidelity",
-      fun pool seed quick ->
-        E.print_cache_fidelity fmt
-          (E.run_cache_fidelity ~pool ~seed
-             ~trials:(if quick then 1 else 2)
-             ~window_s:(if quick then 6 else 10)
-             ()) );
-    ( "sweep",
-      fun pool seed quick ->
-        E.print_tgoal_sweep fmt
-          (E.run_tgoal_sweep ~pool ~seed ~trials:(if quick then 2 else 4) ()) );
-    ( "inject",
-      fun pool seed quick ->
-        E.print_inject fmt
-          (E.run_inject ~pool ~seed
-             ~trials:(if quick then 2 else 4)
-             ~window_s:(if quick then 25 else 30)
-             ()) );
-    ( "degrade",
-      fun pool seed quick ->
-        E.print_degrade fmt
-          (E.run_degrade ~pool ~seed
-             ~trials:(if quick then 2 else 4)
-             ~window_s:(if quick then 25 else 30)
-             ()) );
-    ( "fleet",
-      fun pool seed quick ->
-        E.print_fleet fmt
-          (E.run_fleet ~pool ~seed
-             ~devices:(if quick then 16 else 240)
-             ~window_s:(if quick then 10 else 20)
-             ()) );
-  ]
-
-(* [fleet] is deployment-scale: it joins the registry (so sharded fleets
-   can name it) but not the default sweep, which CI runs warm. *)
+   so re-running a killed campaign only executes the missing trials. The
+   default sweep is every seeded entry of [all]: deployment-scale entries
+   such as [fleet] must be named. *)
 let default_campaign_experiments =
-  List.filter (fun n -> n <> "fleet") (List.map fst campaign_experiments)
+  List.filter_map
+    (fun (e : R.t) -> if e.R.seeded && e.R.in_all then Some e.R.name else None)
+    R.entries
 
 (* "i/N" -> (i, N); campaign validates range and store presence. *)
 let parse_shard s =
@@ -535,15 +361,13 @@ let campaign_cmd =
   let run experiments seeds quick jobs trace metrics check full_rehash store
       no_store progress shard workers lease_ttl report =
     (match
-       List.filter
-         (fun n -> not (List.mem_assoc n campaign_experiments))
-         experiments
+       List.filter (fun n -> not (List.mem n R.names)) experiments
      with
     | [] -> ()
     | unknown ->
         Printf.eprintf "campaign: unknown experiment(s) %s; valid: %s\n"
           (String.concat ", " unknown)
-          (String.concat ", " (List.map fst campaign_experiments));
+          (String.concat ", " R.names);
         exit 2);
     if seeds = [] then begin
       prerr_endline "campaign: --seeds must name at least one seed";
@@ -596,8 +420,7 @@ let campaign_cmd =
                                 "==== campaign: %s seed=%d ====@." name seed;
                               Progress.set_label
                                 (Printf.sprintf "%s seed=%d" name seed);
-                              (List.assoc name campaign_experiments) pool seed
-                                quick)
+                              run_view ~pool ~seed ~quick name)
                             experiments)
                         seeds)))))
     in
@@ -812,11 +635,6 @@ let telemetry_cmd =
 let main =
   let doc = "SATIN (DSN 2019) reproduction: experiments on the simulated Juno r1" in
   Cmd.group (Cmd.info "satin_cli" ~version:"1.1.0" ~doc)
-    [
-      e1; table1; e3; uprober; table2; fig4; e6; race; timeline; evasion;
-      areas; satin_detect; fig7; ablation; dkom; cache_channel; cache_fidelity;
-      sweep; inject; degrade; fleet; all; fingerprint; campaign_cmd;
-      telemetry_cmd;
-    ]
+    (experiment_cmds @ [ all; fingerprint; campaign_cmd; telemetry_cmd ])
 
 let () = exit (Cmd.eval main)

@@ -2,9 +2,10 @@
 
     Each [run_*] function builds its own scenario(s) from a seed, advances
     the simulation, and returns a result record; each [print_*] renders the
-    paper-shaped table or figure to a formatter. {!run_all} executes the
-    full evaluation in paper order. See DESIGN.md §4 for the experiment
-    index and EXPERIMENTS.md for paper-vs-measured numbers. *)
+    paper-shaped table or figure to a formatter. {!Registry} names and
+    profiles each of them once and runs the full evaluation in paper order;
+    this module holds no list of experiments. See DESIGN.md §4 for the
+    experiment index and EXPERIMENTS.md for paper-vs-measured numbers. *)
 
 module Stats = Satin_engine.Stats
 module Cycle_model = Satin_hw.Cycle_model
@@ -540,13 +541,3 @@ val run_cache_fidelity :
     full cache configuration are part of every trial's store key. *)
 
 val print_cache_fidelity : Format.formatter -> cache_fidelity_result -> unit
-
-(** {1 Everything} *)
-
-val run_all : ?pool:Runner.t -> ?seed:int -> ?quick:bool -> Format.formatter -> unit
-(** Runs every experiment and prints every table/figure. [quick] shrinks
-    campaign lengths (fewer rounds/passes) for CI-speed runs; the default
-    is the paper-scale campaign. [pool] parallelizes every trial fan-out;
-    the report is byte-identical whatever the pool's width. Each
-    experiment's wall-clock is recorded under the [experiment.wall_s]
-    metric when an observability sink is installed. *)

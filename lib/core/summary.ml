@@ -318,6 +318,31 @@ let degrade (r : Experiment.degrade_result) =
              r.Experiment.dg_rows) );
     ]
 
+let fleet (r : Experiment.fleet_result) =
+  Json.Obj
+    [
+      ("devices", Json.Int r.Experiment.fl_devices);
+      ("window_s", Json.Int r.Experiment.fl_window_s);
+      ("baseline_score", Json.float r.Experiment.fl_baseline);
+      ("detected", Json.Int r.Experiment.fl_detected);
+      ("first_alarm_s", stats r.Experiment.fl_latency);
+      ( "rows",
+        Json.List
+          (List.map
+             (fun (row : Experiment.fleet_row) ->
+               Json.Obj
+                 [
+                   ("tp_s", Json.float row.Experiment.fr_tp_s);
+                   ("randomized", Json.Bool row.Experiment.fr_randomized);
+                   ("devices", Json.Int row.Experiment.fr_devices);
+                   ("detected", Json.Int row.Experiment.fr_detected);
+                   ("first_alarm_s", stats row.Experiment.fr_latency);
+                   ("rounds_mean", Json.float row.Experiment.fr_rounds);
+                   ("overhead_pct", Json.float row.Experiment.fr_overhead_pct);
+                 ])
+             r.Experiment.fl_rows) );
+    ]
+
 let timeline (p : Race.params) =
   Json.Obj
     [

@@ -36,4 +36,5 @@ val cache_fidelity : Experiment.cache_fidelity_result -> Json.t
 val sweep : Experiment.sweep_result -> Json.t
 val inject : Experiment.inject_result -> Json.t
 val degrade : Experiment.degrade_result -> Json.t
+val fleet : Experiment.fleet_result -> Json.t
 val timeline : Race.params -> Json.t

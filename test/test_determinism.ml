@@ -3,15 +3,14 @@
    summaries must be byte-identical at jobs=1 and jobs=4, whatever the
    seed. *)
 
-module E = Satin.Experiment
-module S = Satin.Summary
+module R = Satin.Registry
 module Runner = Satin_runner.Runner
 module Json = Satin_obs.Json
 
 let report ~pool ~seed =
   let buf = Buffer.create (1 lsl 16) in
   let fmt = Format.formatter_of_buffer buf in
-  E.run_all ~pool ~seed ~quick:true fmt;
+  R.run_all ~pool ~seed ~quick:true fmt;
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
@@ -38,19 +37,14 @@ let test_report_identical seed () =
     par
 
 (* The bench harness's --json path: structured summaries of the pooled
-   experiments, serialized. None of these builders includes wall-clock. *)
+   experiments at their quick profiles, serialized. None of these builders
+   includes wall-clock. *)
 let summary ~pool ~seed =
   Json.to_string
     (Json.Obj
-       [
-         ("e1", S.e1 (E.run_e1 ~pool ~seed ()));
-         ("table2", S.table2 (E.run_table2 ~pool ~seed ~rounds:15 ()));
-         ("uprober", S.uprober (E.run_uprober ~pool ~seed ~trials:6 ()));
-         ( "sweep",
-           S.sweep
-             (E.run_tgoal_sweep ~pool ~seed ~trials:2 ~tps_s:[ 1.0; 4.0 ] ())
-         );
-       ])
+       (List.map
+          (fun name -> (name, (R.run ~pool ~seed ~quick:true name).R.summary))
+          [ "e1"; "table2"; "uprober"; "sweep" ]))
 
 let test_json_identical seed () =
   let seq = summary ~pool:Runner.sequential ~seed in
