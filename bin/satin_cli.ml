@@ -26,10 +26,9 @@ let quick_arg =
 
 let jobs_arg =
   let doc =
-    "Run trial fan-outs on $(docv) domains. Reports are byte-identical \
-     whatever the value; the default 1 keeps every trial on the calling \
-     domain. Ignored (forced back to 1) when --trace/--metrics install an \
-     observability sink."
+    "Run trial fan-outs on $(docv) domains. Reports, and the --trace and \
+     --metrics exports, are byte-identical whatever the value; the default \
+     1 keeps every trial on the calling domain."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -157,8 +156,9 @@ let with_full_rehash full_rehash f =
       f
   end
 
-(* Install an observability sink around [f] only when an export was asked
-   for, so the default path keeps the bare (un-instrumented) hot loops.
+(* Install an observability state around [f] only when an export was asked
+   for, so the default path keeps the bare (un-instrumented) hot loops; it
+   keeps a trace buffer only for --trace.
    Exports are stamped with the build/config identity so telemetry
    consumers can refuse apples-to-oranges comparisons; the stamp is taken
    after [f] so it sees the same ambient context the run keyed under. *)
@@ -166,7 +166,7 @@ let with_obs trace metrics f =
   match (trace, metrics) with
   | None, None -> f ()
   | _ ->
-      let obs = Obs.create () in
+      let obs = Obs.create ~trace:(Option.is_some trace) () in
       Obs.install obs;
       Fun.protect ~finally:Obs.uninstall f;
       Obs.set_identity (Some (Satin.Summary.identity ()));

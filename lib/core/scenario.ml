@@ -21,17 +21,18 @@ let create ?(seed = 42) ?cycle ?cache ?layout
     ?(algo = Satin_introspect.Hash.Djb2)
     ?(style = Satin_introspect.Checker.Direct_hash) () =
   let platform = Platform.juno_r1 ~seed ?cycle ?cache () in
-  (* The engine observer feeds the global sink and/or the current domain's
-     capsule capture; track naming is a sink-only (tracing) concern. *)
-  if Obs.enabled () || Obs.capturing () then Obs.attach_engine platform.Platform.engine;
-  if Obs.enabled () then
+  (* The engine observer and the core tracks belong to the calling
+     domain's observability state, if it has one. *)
+  if Obs.active () then begin
+    Obs.attach_engine platform.Platform.engine;
     Array.iter
       (fun cpu ->
         Obs.name_track (Satin_hw.Cpu.id cpu)
           (Printf.sprintf "core %d (%s)" (Satin_hw.Cpu.id cpu)
              (Satin_hw.Cycle_model.core_type_to_string
                 (Satin_hw.Cpu.core_type cpu))))
-      platform.Platform.cores;
+      platform.Platform.cores
+  end;
   let kernel = Satin_kernel.Kernel.boot ?layout platform in
   let tsp = Satin_tz.Tsp.install platform in
   let secure_memory =

@@ -51,7 +51,7 @@ type t = {
   mutable spawned : (int, unit) Hashtbl.t;
   rt_enqueued : (int, Sim_time.t) Hashtbl.t;
       (* task id -> enqueue instant, for the RT dispatch-latency metric;
-         populated only while an observability sink is installed *)
+         populated only while the domain has an observability state *)
   footprint_slots : (int, int) Hashtbl.t; (* task id -> footprint slot *)
   mutable footprint_next : int;
 }

@@ -4,8 +4,7 @@
     (sorted by key, so label order never splits a series). Histograms store
     every sample in a {!Satin_engine.Stats.t}, giving the exact quantiles
     the paper's latency tables report rather than bucketed approximations.
-    Snapshots are stamped with the simulated instant they were taken at, so
-    a campaign can be sampled into a time series of registry states. *)
+    A snapshot is stamped with the simulated instant it was taken at. *)
 
 type t
 
@@ -23,9 +22,15 @@ val create : unit -> t
     a single mutation with no hash lookup. Re-registering an existing name
     + label set with a different kind raises [Invalid_argument]. *)
 
+type gauge
+(** A gauge cell. It remembers whether it was ever written, so {!merge}
+    can tell a value from the 0.0 a registered-but-idle gauge starts at. *)
+
 val counter : t -> ?labels:labels -> string -> int ref
-val gauge : t -> ?labels:labels -> string -> float ref
+val gauge : t -> ?labels:labels -> string -> gauge
 val histogram : t -> ?labels:labels -> string -> Satin_engine.Stats.t
+
+val set_gauge : gauge -> float -> unit
 
 (** {1 One-shot operations} *)
 
@@ -35,6 +40,14 @@ val observe : t -> ?labels:labels -> string -> float -> unit
 
 val observe_time : t -> ?labels:labels -> string -> Satin_engine.Sim_time.t -> unit
 (** Records a duration sample converted to seconds. *)
+
+val merge : into:t -> t -> unit
+(** [merge ~into child] folds [child] into [into] exactly as if the
+    child's samples had been recorded into [into] after its own: counters
+    add, histogram samples append in order, and a gauge takes the child's
+    value only if the child wrote it. Series missing from [into] are
+    created (copies: [child] is left as it was). Raises
+    [Invalid_argument] if one series has different kinds in the two. *)
 
 val series_count : t -> int
 
@@ -55,9 +68,3 @@ val snapshot : t -> at:Satin_engine.Sim_time.t -> Json.t
     simulated time). Series are sorted by name then labels, so equal
     registry states render byte-identically. Histogram entries carry count,
     total, mean, min, max and the p50/p90/p99 exact quantiles. *)
-
-val record_snapshot : t -> at:Satin_engine.Sim_time.t -> unit
-(** Take {!snapshot} and append it to the registry's snapshot series. *)
-
-val snapshots : t -> Json.t list
-(** Recorded snapshots, oldest first. *)

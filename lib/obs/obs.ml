@@ -8,214 +8,161 @@ type t = {
   (* Real-time (host wall-clock) measurements live in their own registry so
      the deterministic one stays byte-stable across runs — DESIGN §7's
      [--metrics] contract. *)
-  tracing : Tracing.t;
+  tracing : Tracing.t option; (* only when a trace was asked for *)
   mutable horizon : Sim_time.t;
 }
 
-let current_state : t option ref = ref None
-
-let create () =
+let create ?(trace = true) () =
   {
     metrics = Metrics.create ();
     wall_metrics = Metrics.create ();
-    tracing = Tracing.create ();
+    tracing = (if trace then Some (Tracing.create ()) else None);
     horizon = Sim_time.zero;
   }
 
 let metrics t = t.metrics
 let wall_metrics t = t.wall_metrics
-let tracing t = t.tracing
-
-let install t = current_state := Some t
-let uninstall () = current_state := None
-
-let current () = !current_state
-let enabled () = !current_state <> None
 
 let touch s time = if time > s.horizon then s.horizon <- time
 
-(* ---- per-domain capture ----
+(* ---- the per-domain state ----
 
-   Capsule capture is per-domain (a DLS slot) rather than global: worker
-   domains run trials concurrently, and each trial's registry must see only
-   its own samples. [capture_count] is the fast-path guard — when zero (no
-   capture anywhere) a hook pays one atomic load on top of the sink match,
-   preserving the "instrumentation is free when off" contract. *)
+   Every domain records into its own state (a DLS slot), so worker domains
+   never share a registry or a trace buffer. [live] counts the slots that
+   hold a state, on any domain: while it is zero a hook costs one atomic
+   load, keeping instrumentation free when nothing records. *)
 
-let capture_key : Metrics.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let slot : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let live = Atomic.make 0
 
-let capture_count = Atomic.make 0
+let set_slot s =
+  let r = Domain.DLS.get slot in
+  (match (!r, s) with
+  | None, Some _ -> Atomic.incr live
+  | Some _, None -> Atomic.decr live
+  | _ -> ());
+  r := s
 
-let capture_slot () = Domain.DLS.get capture_key
+let current () = if Atomic.get live = 0 then None else !(Domain.DLS.get slot)
+let active () = Option.is_some (current ())
 
-let capturing () =
-  Atomic.get capture_count > 0 && !(capture_slot ()) <> None
+let install t = set_slot (Some t)
+let uninstall () = set_slot None
 
-let active () = enabled () || capturing ()
+let with_state t f =
+  let saved = !(Domain.DLS.get slot) in
+  set_slot (Some t);
+  Fun.protect ~finally:(fun () -> set_slot saved) f
+
+let fork parent = create ~trace:(Option.is_some parent.tracing) ()
+
+let merge ~into child =
+  Metrics.merge ~into:into.metrics child.metrics;
+  Metrics.merge ~into:into.wall_metrics child.wall_metrics;
+  (match (into.tracing, child.tracing) with
+  | Some p, Some c -> Tracing.append ~into:p c
+  | _ -> ());
+  touch into child.horizon
 
 let with_capture f =
-  let slot = capture_slot () in
-  let saved = !slot in
-  let m = Metrics.create () in
-  slot := Some m;
-  Atomic.incr capture_count;
+  let parent = current () in
+  let child =
+    match parent with Some p -> fork p | None -> create ~trace:false ()
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr capture_count;
-      slot := saved)
+    ~finally:(fun () -> Option.iter (fun p -> merge ~into:p child) parent)
     (fun () ->
-      let r = f () in
-      (m, r))
+      let r = with_state child f in
+      (child.metrics, r))
 
 (* ---- hook entry points ---- *)
 
 let incr ?labels ?by name =
-  (match !current_state with
+  match current () with
   | None -> ()
-  | Some s -> Metrics.incr s.metrics ?labels ?by name);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.incr m ?labels ?by name
+  | Some s -> Metrics.incr s.metrics ?labels ?by name
 
 let set_gauge ?labels name v =
-  (match !current_state with
+  match current () with
   | None -> ()
-  | Some s -> Metrics.set s.metrics ?labels name v);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.set m ?labels name v
+  | Some s -> Metrics.set s.metrics ?labels name v
 
 let observe ?labels name v =
-  (match !current_state with
+  match current () with
   | None -> ()
-  | Some s -> Metrics.observe s.metrics ?labels name v);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.observe m ?labels name v
+  | Some s -> Metrics.observe s.metrics ?labels name v
 
 let observe_time ?labels name d =
-  (match !current_state with
+  match current () with
   | None -> ()
-  | Some s -> Metrics.observe_time s.metrics ?labels name d);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.observe_time m ?labels name d
+  | Some s -> Metrics.observe_time s.metrics ?labels name d
 
 let observe_wall ?labels name v =
-  (* Wall-clock samples stay out of capture: capsules persist and merge
-     across runs, so they must hold only deterministic series. *)
-  match !current_state with
+  (* Capsules seal only [metrics], so wall-clock samples never persist. *)
+  match current () with
   | None -> ()
   | Some s -> Metrics.observe s.wall_metrics ?labels name v
 
+(* Span hooks move the horizon whether or not a trace is kept, so the
+   [--metrics] stamp does not depend on [--trace]. *)
 let span_begin ~time ~track ?cat ?args name =
-  match !current_state with
+  match current () with
   | None -> ()
-  | Some s ->
+  | Some s -> (
       touch s time;
-      Tracing.begin_span s.tracing ~time ~track ?cat ?args name
+      match s.tracing with
+      | None -> ()
+      | Some tr -> Tracing.begin_span tr ~time ~track ?cat ?args name)
 
 let span_end ~time ~track =
-  match !current_state with
+  match current () with
   | None -> ()
-  | Some s ->
+  | Some s -> (
       touch s time;
-      Tracing.end_span s.tracing ~time ~track
+      match s.tracing with
+      | None -> ()
+      | Some tr -> Tracing.end_span tr ~time ~track)
 
 let instant ~time ~track ?cat ?args name =
-  match !current_state with
+  match current () with
   | None -> ()
-  | Some s ->
+  | Some s -> (
       touch s time;
-      Tracing.instant s.tracing ~time ~track ?cat ?args name
+      match s.tracing with
+      | None -> ()
+      | Some tr -> Tracing.instant tr ~time ~track ?cat ?args name)
 
 let name_track track name =
-  match !current_state with
-  | None -> ()
-  | Some s -> Tracing.set_track_name s.tracing track name
+  match current () with
+  | Some { tracing = Some tr; _ } -> Tracing.set_track_name tr track name
+  | _ -> ()
 
 let attach_engine engine =
-  let sink_cells =
-    match !current_state with
-    | None -> None
-    | Some s ->
-        Some
-          ( Metrics.counter s.metrics "engine.events_fired",
-            Metrics.gauge s.metrics "engine.queue_depth",
-            s )
-  in
-  let capture_cells =
-    if Atomic.get capture_count > 0 then
-      match !(capture_slot ()) with
-      | Some m ->
-          Some
-            ( Metrics.counter m "engine.events_fired",
-              Metrics.gauge m "engine.queue_depth" )
-      | None -> None
-    else None
-  in
-  let sink_batch =
-    match !current_state with
-    | None -> None
-    | Some s ->
-        Some
-          ( Metrics.histogram s.metrics "engine.batch_size",
-            Metrics.histogram s.metrics "engine.cascades" )
-  in
-  let capture_batch =
-    if Atomic.get capture_count > 0 then
-      match !(capture_slot ()) with
-      | Some m ->
-          Some
-            ( Metrics.histogram m "engine.batch_size",
-              Metrics.histogram m "engine.cascades" )
-      | None -> None
-    else None
-  in
-  (match (sink_batch, capture_batch) with
-  | None, None -> ()
-  | _ ->
+  match current () with
+  | None -> ()
+  | Some s ->
+      let m = s.metrics in
+      let fired = Metrics.counter m "engine.events_fired"
+      and depth = Metrics.gauge m "engine.queue_depth"
+      and sizes = Metrics.histogram m "engine.batch_size"
+      and cascades = Metrics.histogram m "engine.cascades" in
       (* Batched dispatch shape: events per same-instant batch and wheel
          cascades charged to it. Deterministic series (batch boundaries are
          a function of the schedule alone), so they belong in [metrics],
          not [wall_metrics]. Runs once per batch, between dispatches. *)
       Engine.set_batch_observer engine
         (Some
-           (fun ~size ~cascades ->
-             (match sink_batch with
-             | None -> ()
-             | Some (bs, cs) ->
-                 Stats.add bs (float_of_int size);
-                 Stats.add cs (float_of_int cascades));
-             match capture_batch with
-             | None -> ()
-             | Some (bs, cs) ->
-                 Stats.add bs (float_of_int size);
-                 Stats.add cs (float_of_int cascades))));
-  match (sink_cells, capture_cells) with
-  | None, None -> ()
-  | _ ->
+           (fun ~size ~cascades:c ->
+             Stats.add sizes (float_of_int size);
+             Stats.add cascades (float_of_int c)));
       (* Cells are resolved once here, so the per-event observer stays a
-         pair of raw mutations even when both destinations are live. *)
+         few raw mutations. *)
       Engine.set_observer engine
         (Some
            (fun ~time ~pending ->
-             (match sink_cells with
-             | None -> ()
-             | Some (fired, depth, s) ->
-                 fired := !fired + 1;
-                 depth := float_of_int pending;
-                 touch s time);
-             match capture_cells with
-             | None -> ()
-             | Some (fired, depth) ->
-                 fired := !fired + 1;
-                 depth := float_of_int pending))
+             fired := !fired + 1;
+             Metrics.set_gauge depth (float_of_int pending);
+             touch s time))
 
 (* ---- exports ---- *)
 
@@ -231,15 +178,18 @@ let with_identity fields =
 
 let horizon t = t.horizon
 
-let trace_json t = Tracing.to_chrome_json t.tracing
+(* A state kept without a trace exports an empty one. *)
+let trace_buffer t =
+  match t.tracing with Some tr -> tr | None -> Tracing.create ()
+
+let trace_json t = Tracing.to_chrome_json (trace_buffer t)
 
 let metrics_json t =
-  let final = Metrics.snapshot t.metrics ~at:(horizon t) in
   Json.Obj
     (with_identity
        [
          ("schema", Json.String "satin-metrics/v1");
-         ("snapshots", Json.List (Metrics.snapshots t.metrics @ [ final ]));
+         ("snapshots", Json.List [ Metrics.snapshot t.metrics ~at:(horizon t) ]);
        ])
 
 let wall_metrics_json t =
@@ -260,6 +210,6 @@ let write_trace t path = write_file path (Json.to_string (trace_json t) ^ "\n")
 
 let write_jsonl t path =
   write_file path
-    (String.concat "\n" (Tracing.jsonl_lines t.tracing) ^ "\n")
+    (String.concat "\n" (Tracing.jsonl_lines (trace_buffer t)) ^ "\n")
 
 let write_metrics t path = write_file path (Json.to_string (metrics_json t) ^ "\n")

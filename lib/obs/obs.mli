@@ -1,67 +1,77 @@
-(** Observability facade: the one sink the instrumentation hooks talk to.
+(** Observability facade: the state the instrumentation hooks talk to.
 
     The simulation layers (engine, monitor, scheduler, defenses, attacks)
-    are instrumented with calls into this module. With no sink installed —
-    the default — every call is a single match on a global and returns
-    immediately, so experiments pay nothing for the instrumentation. The
-    CLI's [--trace]/[--metrics] flags and the bench harness install a sink
-    around a run and export it afterwards.
+    are instrumented with calls into this module. Each domain records into
+    its own state — a metrics registry, a trace buffer when a trace was
+    asked for, and a horizon — held in a [Domain.DLS] slot rather than
+    threaded through every constructor: simulated components are built
+    deep inside experiment runners. With no state set on any domain — the
+    default — every hook costs one atomic load and returns, so experiments
+    pay nothing for the instrumentation. Timestamps are always supplied by
+    the caller from its engine clock, so one state serves any number of
+    scenarios.
 
-    The sink is global (like a {!Logs} reporter) rather than threaded
-    through every constructor: simulated components are built deep inside
-    experiment runners, and the timeline of "the current run" is exactly
-    what the exports capture. Timestamps are always supplied by the caller
-    from its engine clock, so one sink serves any number of scenarios. *)
+    States nest. {!with_capture} runs a body under a fresh child state and
+    folds the child into its parent afterwards; [Runner.map] gives each
+    trial its own child and folds them back in trial order after the
+    batch. Either way the parent ends up holding exactly what recording
+    straight into it on one domain would have produced, so the
+    [--trace]/[--metrics] exports are the same at any [--jobs] width. *)
 
 type t
 
-val create : unit -> t
+val create : ?trace:bool -> unit -> t
+(** A fresh state. [~trace:false] keeps no trace buffer: span hooks still
+    move the horizon but record nothing, and {!trace_json} is empty.
+    Default [true]. *)
 
 val metrics : t -> Metrics.t
 
 val wall_metrics : t -> Metrics.t
 (** The real-time registry: host wall-clock measurements
-    ([runner.batch_wall_s], [experiment.wall_s]) land here, segregated from
-    {!metrics} so the deterministic registry — and therefore the
-    [--metrics] export — stays byte-stable run to run (DESIGN §7). *)
-
-val tracing : t -> Tracing.t
+    ([runner.batch_wall_s], [runner.domain_trials], [experiment.wall_s])
+    land here, segregated from {!metrics} so the deterministic registry —
+    and therefore the [--metrics] export — stays byte-stable run to run
+    (DESIGN §7). *)
 
 val install : t -> unit
-(** Make [t] the current sink. Replaces any previous sink. *)
+(** Make [t] the calling domain's state. Replaces any previous one. *)
 
 val uninstall : unit -> unit
+(** Clear the calling domain's state. *)
 
 val current : unit -> t option
-val enabled : unit -> bool
-
-(** {1 Per-domain capture}
-
-    Capsule capture runs {e beside} the global sink: [with_capture] gives
-    the calling domain a private registry that every metrics hook also
-    writes to for the duration of [f]. Capture is per-domain state
-    (Domain.DLS), so concurrent trials on worker domains each seal their
-    own registry; captures nest (the innermost wins) and never touch the
-    global sink, tracing, or wall-clock series. With no capture active
-    anywhere, the added hook cost is one atomic load. *)
-
-val with_capture : (unit -> 'a) -> Metrics.t * 'a
-(** Run [f] with a fresh capture registry on the current domain; return
-    that registry (sealed — no further hooks write to it) with [f]'s
-    result. The previous capture, if any, is restored even on raise. *)
-
-val capturing : unit -> bool
-(** Whether the {e current domain} is inside {!with_capture}. Scenario
-    construction uses this to attach engine observers for capture-only
-    runs. *)
+(** The calling domain's state. *)
 
 val active : unit -> bool
-(** [enabled () || capturing ()] — the guard for instrumentation sites
-    that build metric samples: a site skipped when only the sink is absent
-    would leave capture-only runs (store-backed campaigns) with empty
-    capsules. Tracing-only sites may keep guarding on {!enabled}. *)
+(** Whether the calling domain has a state: the guard for instrumentation
+    sites that do work (building samples or span arguments) before calling
+    a hook. *)
 
-(** {1 Hook entry points (no-ops when no sink is installed)} *)
+(** {1 Child states} *)
+
+val fork : t -> t
+(** A fresh, empty child of [parent]: it keeps a trace buffer only if
+    [parent] does. *)
+
+val with_state : t -> (unit -> 'a) -> 'a
+(** Run [f] with [t] as the calling domain's state; the previous state is
+    restored even on raise. *)
+
+val merge : into:t -> t -> unit
+(** Fold a child into [into] as if the child's samples and events had
+    been recorded there directly, after [into]'s own (see
+    {!Metrics.merge} and {!Tracing.append}); the horizon is the later of
+    the two. *)
+
+val with_capture : (unit -> 'a) -> Metrics.t * 'a
+(** Run [f] under a fresh child of the calling domain's state (a root
+    state without a trace buffer if there is none) and return the child's
+    registry with [f]'s result. The child is then merged into the parent,
+    if there is one — even when [f] raises. Store-backed campaigns seal
+    the returned registry into a trial's capsule. *)
+
+(** {1 Hook entry points (no-ops when the calling domain has no state)} *)
 
 val incr : ?labels:Metrics.labels -> ?by:int -> string -> unit
 val set_gauge : ?labels:Metrics.labels -> string -> float -> unit
@@ -98,12 +108,12 @@ val attach_engine : Satin_engine.Engine.t -> unit
     ["engine.events_fired"] counter and updates the ["engine.queue_depth"]
     gauge, and every dispatched batch records its event count and wheel
     cascades into the ["engine.batch_size"] and ["engine.cascades"]
-    histograms — in the sink, the current domain's capture registry, or
-    both. All four are deterministic series (batch boundaries are a
-    function of the schedule alone), so they flow into capsules and
-    [telemetry report], never into wall-metrics. A no-op (and no observer
-    is installed) when neither destination is active, so an
-    un-instrumented run keeps the engine's bare step loop. *)
+    histograms of the calling domain's state. All four are deterministic
+    series (batch boundaries are a function of the schedule alone), so
+    they flow into capsules and [telemetry report], never into
+    wall-metrics. A no-op (and no observer
+    is installed) when the domain has no state, so an un-instrumented run
+    keeps the engine's bare step loop. *)
 
 (** {1 Exports} *)
 
@@ -117,16 +127,16 @@ val set_identity : Json.t option -> unit
 val identity : unit -> Json.t option
 
 val horizon : t -> Satin_engine.Sim_time.t
-(** Latest simulated instant any hook reported — the stamp used for the
-    final metrics snapshot. *)
+(** Latest simulated instant any hook reported — the stamp of the metrics
+    snapshot. *)
 
 val trace_json : t -> Json.t
 (** Chrome trace-event document (see {!Tracing.to_chrome_json}). *)
 
 val metrics_json : t -> Json.t
-(** [{"schema": ..., "snapshots": [...]}] — any recorded snapshots plus a
-    final one stamped at {!horizon}. Deterministic registry only: wall-clock
-    measurements never appear here, keeping the export byte-stable. *)
+(** [{"schema": ..., "snapshots": [s]}] — one snapshot, stamped at
+    {!horizon}. Deterministic registry only: wall-clock measurements never
+    appear here, keeping the export byte-stable. *)
 
 val wall_metrics_json : t -> Json.t
 (** The real-time registry as a separate document

@@ -23,9 +23,7 @@ type payload = {
 type t = {
   buf : payload Trace.t;
   track_names : (int, string) Hashtbl.t;
-  open_spans : (int, int * string list) Hashtbl.t;
-      (* per-track (owner domain, begin stack); ownership transfers only
-         when the stack is empty *)
+  open_spans : (int, string list) Hashtbl.t; (* per-track begin stack *)
 }
 
 let create () =
@@ -33,49 +31,25 @@ let create () =
 
 let push t ~time p = Trace.record t.buf time p
 
-let self_id () = (Domain.self () :> int)
-
-let cross_domain_error ~what ~track ~owner ~me ~open_count =
-  invalid_arg
-    (Printf.sprintf
-       "Tracing.%s: track %d has %d open span(s) begun on domain %d, but the \
-        current domain is %d; a track is a single-domain lane while spans are \
-        open (begin/end pairs from two domains would interleave into a \
-        corrupt nesting)"
-       what track open_count owner me)
+let stack t track = Option.value ~default:[] (Hashtbl.find_opt t.open_spans track)
 
 let begin_span t ~time ~track ?(cat = "") ?(args = []) name =
-  let me = self_id () in
-  let stack =
-    match Hashtbl.find_opt t.open_spans track with
-    | Some (owner, (_ :: _ as stack)) ->
-        if owner <> me then
-          cross_domain_error ~what:"begin_span" ~track ~owner ~me
-            ~open_count:(List.length stack);
-        stack
-    | Some (_, []) | None -> []
-  in
-  Hashtbl.replace t.open_spans track (me, name :: stack);
+  Hashtbl.replace t.open_spans track (name :: stack t track);
   push t ~time { p_ph = Begin; p_track = track; p_name = name; p_cat = cat; p_args = args }
 
 let end_span t ~time ~track =
-  let me = self_id () in
-  let name, rest =
-    match Hashtbl.find_opt t.open_spans track with
-    | Some (owner, (n :: rest)) ->
-        if owner <> me then
-          cross_domain_error ~what:"end_span" ~track ~owner ~me
-            ~open_count:(List.length rest + 1);
-        (n, rest)
-    | Some (_, []) | None -> ("", [])
-  in
-  Hashtbl.replace t.open_spans track (me, rest);
+  let name, rest = match stack t track with n :: rest -> (n, rest) | [] -> ("", []) in
+  Hashtbl.replace t.open_spans track rest;
   push t ~time { p_ph = End; p_track = track; p_name = name; p_cat = ""; p_args = [] }
 
 let instant t ~time ~track ?(cat = "") ?(args = []) name =
   push t ~time { p_ph = Instant; p_track = track; p_name = name; p_cat = cat; p_args = args }
 
 let set_track_name t track name = Hashtbl.replace t.track_names track name
+
+let append ~into child =
+  Trace.iter (fun time p -> push into ~time p) child.buf;
+  Hashtbl.iter (Hashtbl.replace into.track_names) child.track_names
 
 let length t = Trace.length t.buf
 

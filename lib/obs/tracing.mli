@@ -11,18 +11,9 @@
     which the instrumentation sites guarantee by construction: an area
     check lives strictly inside its world-switch span.
 
-    {2 Per-domain track contract}
-
-    A track is a {e single-domain lane while spans are open on it}: the
-    domain that begins a span owns the track until its begin stack drains,
-    and only then may another domain take it over. Under [--jobs N] the
-    runner's worker domains must therefore use disjoint track ids (e.g.
-    derived from the domain slot, as the memo layer's store track does) —
-    two domains interleaving begin/end pairs on one track would serialize
-    into a corrupt nesting that renders as garbage. {!begin_span} and
-    {!end_span} enforce this: a call on a track whose open spans were begun
-    by a different domain raises [Invalid_argument] instead of silently
-    interleaving. *)
+    A buffer belongs to one domain: under [--jobs N] every trial records
+    into its own buffer, and {!append} splices the buffers back in trial
+    order (see [Obs]). *)
 
 type phase = Begin | End | Instant
 
@@ -49,9 +40,7 @@ val begin_span :
   unit
 
 val end_span : t -> time:Satin_engine.Sim_time.t -> track:int -> unit
-(** Ends the most recently begun span on [track]. Raises
-    [Invalid_argument] if that span was begun on a different domain (see
-    the per-domain track contract above). *)
+(** Ends the most recently begun span on [track]. *)
 
 val instant :
   t ->
@@ -64,6 +53,11 @@ val instant :
 
 val set_track_name : t -> int -> string -> unit
 (** Label a track in the exported view (e.g. ["core 4 (A57)"]). *)
+
+val append : into:t -> t -> unit
+(** [append ~into child] records [child]'s events after [into]'s, as if
+    they had been recorded into [into] directly; track names carry over.
+    [child]'s spans must all be closed. *)
 
 val length : t -> int
 val events : t -> event list

@@ -58,30 +58,42 @@ let record_metrics ~n ~requested ~effective ~wall executed =
   Obs.set_gauge "runner.queue_depth" 0.0;
   (* Wall time is the one nondeterministic reading here; it goes to the
      segregated real-time registry so --metrics output stays byte-stable.
-     The pool widths join it because the effective width is a property of
-     the host (the clamp), not of the simulated run. *)
+     The pool widths and the per-domain trial counts join it: the width is
+     a property of the host (the clamp), and which domain steals which
+     trial is a property of the scheduling, not of the simulated run. *)
   Obs.observe_wall "runner.batch_wall_s" wall;
   Obs.observe_wall "runner.jobs_requested" (float_of_int requested);
   Obs.observe_wall "runner.jobs_effective" (float_of_int effective);
   Array.iteri
     (fun w c ->
-      Obs.incr "runner.domain_trials"
+      Obs.observe_wall "runner.domain_trials"
         ~labels:[ ("domain", string_of_int w) ]
-        ~by:c)
+        (float_of_int c))
     executed
 
 let map pool n f =
   if n < 0 then invalid_arg "Runner.map: negative batch size";
   if Domain.DLS.get in_trial then
     invalid_arg "Runner.map: nested use (map called from inside a trial)";
-  (* The obs sink is a process-global; trial bodies instrument through it,
-     so a batch under an installed sink runs sequentially (same results —
-     that is the whole point of the pool — just no overlap). *)
-  let jobs = if Obs.enabled () then 1 else min pool.effective_jobs n in
+  let jobs = min pool.effective_jobs n in
   Obs.set_gauge "runner.queue_depth" (float_of_int n);
   Progress.batch_start n;
   let wall0 = Unix.gettimeofday () in
   let results = Array.make n Pending in
+  (* Under an observability state, each trial records into a child of it
+     on whichever domain runs the trial; the children are merged back in
+     index order once the batch is done, so the caller's state ends up as
+     a sequential run would have left it. *)
+  let parent = Obs.current () in
+  let children =
+    match parent with None -> [||] | Some p -> Array.init n (fun _ -> Obs.fork p)
+  in
+  let run i =
+    results.(i) <-
+      (match parent with
+      | None -> run_trial f i
+      | Some _ -> Obs.with_state children.(i) (fun () -> run_trial f i))
+  in
   let executed =
     if jobs <= 1 then begin
       Domain.DLS.set in_trial true;
@@ -89,7 +101,7 @@ let map pool n f =
         ~finally:(fun () -> Domain.DLS.set in_trial false)
         (fun () ->
           for i = 0 to n - 1 do
-            results.(i) <- run_trial f i
+            run i
           done);
       [| n |]
     end
@@ -112,7 +124,7 @@ let map pool n f =
           if lo < n then begin
             let hi = min (lo + chunk) n in
             for i = lo to hi - 1 do
-              results.(i) <- run_trial f i;
+              run i;
               incr count
             done;
             loop ()
@@ -131,6 +143,7 @@ let map pool n f =
       executed
     end
   in
+  Option.iter (fun p -> Array.iter (Obs.merge ~into:p) children) parent;
   let wall = Unix.gettimeofday () -. wall0 in
   pool.last_wall_s <- wall;
   record_metrics ~n ~requested:pool.jobs ~effective:jobs ~wall executed;

@@ -14,12 +14,14 @@
     exceptions are re-raised in submission order, and nested use (calling
     [map] from inside a trial) is rejected.
 
-    The global {!Satin_obs.Obs} sink is process-wide mutable state, so when
-    a sink is installed ([--trace]/[--metrics]) the pool degrades to
-    sequential execution — same results, full instrumentation, no data
-    races. Pool-level metrics ([runner.batches], [runner.trials],
-    [runner.domain_trials{domain=i}], [runner.batch_wall_s],
-    [runner.queue_depth]) are recorded by the submitting domain only. *)
+    When the caller has a {!Satin_obs.Obs} state ([--trace]/[--metrics]),
+    every trial records into its own child state on the domain that runs
+    it, and the children are merged into the caller's state in index order
+    after the batch — the exports equal a sequential run's at any width.
+    Pool-level metrics ([runner.batches], [runner.trials],
+    [runner.queue_depth]) and wall-clock readings ([runner.batch_wall_s],
+    [runner.domain_trials{domain=i}], which counts work-stealing outcomes)
+    are recorded by the submitting domain only. *)
 
 type t
 
@@ -50,9 +52,8 @@ val effective_jobs : t -> int
 
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map pool n f] evaluates [f 0 .. f (n-1)] and returns the results in
-    index order. With [jobs > 1] (and no obs sink installed) trials run
-    work-stealing on [min jobs n] domains; result order is index order
-    regardless.
+    index order. With [jobs > 1] trials run work-stealing on
+    [min jobs n] domains; result order is index order regardless.
 
     If one or more trials raise, the remaining trials still run to
     completion and the exception of the {e lowest-indexed} failed trial is
@@ -75,7 +76,8 @@ val map_cached :
     [lookup] (run sequentially on the submitting domain, in index order),
     and only the unresolved indices are dispatched to the pool as a [map]
     batch. [on_computed i v] runs right after trial [i]'s body returns, on
-    the domain that ran it — the persistence hook, called per-trial so an
+    the domain that ran it and under the trial's observability state — the
+    persistence hook, called per-trial so an
     interrupted batch keeps its completed work. Results are returned in
     submission order; error propagation for the dispatched subset follows
     {!map} (lowest submitted index wins). Resolved trials count under the

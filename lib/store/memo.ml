@@ -13,7 +13,7 @@ let store_track = 63
 let span_slot = ref 0
 
 let lookup_span ~experiment ~trial ~key outcome =
-  if Obs.enabled () then begin
+  if Obs.active () then begin
     Obs.name_track store_track "result store";
     let t0 = Sim_time.us !span_slot in
     incr span_slot;

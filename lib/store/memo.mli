@@ -14,7 +14,7 @@
     (binary-pinned by the key's fingerprint), and misses run the unchanged
     body.
 
-    When a tracing sink is installed, every lookup emits a span on the
+    When the run keeps a trace, every lookup emits a span on the
     dedicated store track ([store.hit]/[store.miss], with the experiment,
     trial index, and key as args) — the cache's contribution to a trial
     is visible in the Perfetto export next to the simulation lanes.

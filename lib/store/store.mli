@@ -45,11 +45,11 @@
     {!add} concurrently while the submitting domain looks up. Counters for
     hits/misses/writes/evictions/corruptions are kept locally (for
     {!summary_line}) and mirrored to {!Satin_obs.Obs} as [store.*] metrics
-    when a sink is installed.
+    when the calling domain has an observability state.
 
-    One store can be made ambient with {!install} — the same pattern as the
-    {!Satin_obs.Obs} sink: experiments are assembled deep inside runners,
-    and "the store of the current run" is process-wide by nature. *)
+    One store can be made ambient with {!install}: experiments are
+    assembled deep inside runners, and "the store of the current run" is
+    process-wide by nature. *)
 
 type t
 

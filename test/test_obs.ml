@@ -363,25 +363,24 @@ let test_capsule_rejects_junk () =
 (* ---- per-domain capture ---- *)
 
 let test_with_capture () =
-  Alcotest.(check bool) "idle: not capturing" false (Obs.capturing ());
+  Alcotest.(check bool) "idle: inactive" false (Obs.active ());
   let outer, () =
     Obs.with_capture (fun () ->
-        Alcotest.(check bool) "capturing inside" true (Obs.capturing ());
-        Alcotest.(check bool) "active without a sink" true (Obs.active ());
+        Alcotest.(check bool) "active inside" true (Obs.active ());
         Obs.incr "c";
         Obs.observe "h" 1.0;
-        (* nesting: the innermost capture wins for its extent *)
+        (* nesting: the inner capture seals its own samples, then folds
+           them into the outer one *)
         let inner, () = Obs.with_capture (fun () -> Obs.incr "c") in
         Alcotest.(check (option int))
           "inner saw only its own" (Some 1)
           (Metrics.counter_value inner "c"))
   in
   Alcotest.(check (option int))
-    "outer missed the nested incr" (Some 1)
+    "outer includes the nested incr" (Some 2)
     (Metrics.counter_value outer "c");
   Alcotest.(check bool) "histogram captured" true
     (Metrics.histogram_stats outer "h" <> None);
-  Alcotest.(check bool) "sealed afterwards" false (Obs.capturing ());
   Alcotest.(check bool) "inactive afterwards" false (Obs.active ())
 
 let test_capture_is_per_domain () =
@@ -392,9 +391,9 @@ let test_capture_is_per_domain () =
         Obs.incr "mine";
         let d =
           Domain.spawn (fun () ->
-              let was_capturing = Obs.capturing () in
+              let was_active = Obs.active () in
               Obs.incr "theirs";
-              was_capturing)
+              was_active)
         in
         Alcotest.(check bool)
           "worker domain not capturing" false (Domain.join d))
@@ -404,35 +403,47 @@ let test_capture_is_per_domain () =
   Alcotest.(check (option int)) "foreign sample excluded" None
     (Metrics.counter_value m "theirs")
 
-(* ---- per-domain track ownership ---- *)
+(* A child that registers a gauge but never writes it (a scenario that
+   fires no events leaves engine.queue_depth at its 0.0 default) must not
+   clobber the parent's value; a child that writes one must. *)
+let test_merge_idle_gauge () =
+  let parent = Metrics.create () in
+  Metrics.set parent "g" 5.0;
+  let idle = Metrics.create () in
+  ignore (Metrics.gauge idle "g");
+  ignore (Metrics.gauge idle "fresh");
+  Metrics.merge ~into:parent idle;
+  Alcotest.(check (option (float 0.0))) "idle child keeps parent value"
+    (Some 5.0) (Metrics.gauge_value parent "g");
+  Alcotest.(check (option (float 0.0))) "registered series carried over"
+    (Some 0.0) (Metrics.gauge_value parent "fresh");
+  let writer = Metrics.create () in
+  Metrics.set writer "g" 0.0;
+  Metrics.merge ~into:parent writer;
+  Alcotest.(check (option (float 0.0))) "written 0.0 wins" (Some 0.0)
+    (Metrics.gauge_value parent "g")
 
-let test_tracing_cross_domain_raises () =
-  let tr = Tracing.create () in
-  Tracing.begin_span tr ~time:0 ~track:5 "owner-span";
-  let intrude f =
-    Domain.join
-      (Domain.spawn (fun () ->
-           try
-             f ();
-             false
-           with Invalid_argument _ -> true))
+(* Merging children in order must rebuild exactly the registry and trace
+   that recording everything into one state would have produced. *)
+let test_merge_matches_direct () =
+  let record k =
+    Obs.incr "n" ~by:k;
+    Obs.observe "h" (float_of_int k);
+    Obs.set_gauge "g" (float_of_int k);
+    Obs.name_track k (Printf.sprintf "lane %d" k);
+    Obs.span_begin ~time:(10 * k) ~track:k "work";
+    Obs.span_end ~time:((10 * k) + 5) ~track:k
   in
-  Alcotest.(check bool) "foreign begin_span on open track raises" true
-    (intrude (fun () -> Tracing.begin_span tr ~time:1 ~track:5 "intruder"));
-  Alcotest.(check bool) "foreign end_span raises" true
-    (intrude (fun () -> Tracing.end_span tr ~time:2 ~track:5));
-  (* the owner is unaffected and can close normally *)
-  Tracing.end_span tr ~time:3 ~track:5;
-  (* with the stack empty, ownership transfers cleanly *)
-  let d =
-    Domain.spawn (fun () ->
-        try
-          Tracing.begin_span tr ~time:4 ~track:5 "new-owner";
-          Tracing.end_span tr ~time:5 ~track:5;
-          true
-        with Invalid_argument _ -> false)
+  let export obs =
+    Json.to_string (Obs.metrics_json obs) ^ Json.to_string (Obs.trace_json obs)
   in
-  Alcotest.(check bool) "empty track transfers ownership" true (Domain.join d)
+  let direct = Obs.create () in
+  Obs.with_state direct (fun () -> List.iter record [ 1; 2; 3 ]);
+  let merged = Obs.create () in
+  let children = List.map (fun _ -> Obs.fork merged) [ 1; 2; 3 ] in
+  List.iteri (fun i c -> Obs.with_state c (fun () -> record (i + 1))) children;
+  List.iter (Obs.merge ~into:merged) children;
+  Alcotest.(check string) "merged = direct" (export direct) (export merged)
 
 (* Progress ETA formatting: before any trial completes (or with a frozen
    clock) the rate is 0 and the naive ETA is inf/nan — the heartbeat must
@@ -481,8 +492,10 @@ let suite =
     Alcotest.test_case "with_capture scoping" `Quick test_with_capture;
     Alcotest.test_case "capture is per-domain" `Quick
       test_capture_is_per_domain;
-    Alcotest.test_case "tracing cross-domain guard" `Quick
-      test_tracing_cross_domain_raises;
+    Alcotest.test_case "merge keeps an idle gauge out" `Quick
+      test_merge_idle_gauge;
+    Alcotest.test_case "merged children = direct recording" `Quick
+      test_merge_matches_direct;
     Alcotest.test_case "progress eta placeholder" `Quick
       test_progress_eta_placeholder;
     Alcotest.test_case "same-seed exports identical" `Slow test_determinism;

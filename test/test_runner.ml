@@ -1,6 +1,8 @@
 open Satin_runner
 module Obs = Satin_obs.Obs
 module Metrics = Satin_obs.Metrics
+module Json = Satin_obs.Json
+module Stats = Satin_engine.Stats
 module Prng = Satin_engine.Prng
 
 (* A trial body with enough per-trial work that a 4-domain pool genuinely
@@ -123,9 +125,11 @@ let test_wall_clock_recorded () =
   Alcotest.(check bool) "wall clock non-negative" true
     (Runner.last_batch_wall_s pool >= 0.0)
 
-(* With a sink installed the pool degrades to one domain (the sink is a
-   process-global and not domain-safe) and the batch is fully accounted:
-   same results, every trial attributed to domain 0. *)
+(* Under an observability state the pool keeps its width: every trial
+   records into a child state merged back in index order, so the
+   deterministic registry holds what a sequential run records. Which
+   domain ran how many trials is a scheduling outcome, so that series
+   lives in the wall-clock registry. *)
 let test_metrics_under_sink () =
   let obs = Obs.create () in
   Obs.install obs;
@@ -134,16 +138,57 @@ let test_metrics_under_sink () =
       let results = Runner.map pool 12 busy_trial in
       Alcotest.(check bool) "results unchanged under sink" true
         (results = Runner.map Runner.sequential 12 busy_trial);
-      let m = Obs.metrics obs in
+      let m = Obs.metrics obs and wall = Obs.wall_metrics obs in
       Alcotest.(check (option int)) "trials counted" (Some 24)
         (Metrics.counter_value m "runner.trials");
       Alcotest.(check (option int)) "batches counted" (Some 2)
         (Metrics.counter_value m "runner.batches");
-      Alcotest.(check (option int)) "all trials on domain 0" (Some 24)
-        (Metrics.counter_value m "runner.domain_trials"
-           ~labels:[ ("domain", "0") ]);
       Alcotest.(check (option (float 0.0))) "queue drained" (Some 0.0)
-        (Metrics.gauge_value m "runner.queue_depth"))
+        (Metrics.gauge_value m "runner.queue_depth");
+      let domain_trials w =
+        Metrics.histogram_stats wall "runner.domain_trials"
+          ~labels:[ ("domain", string_of_int w) ]
+      in
+      Alcotest.(check bool) "domain_trials left the deterministic registry"
+        true
+        (Metrics.counter_value m "runner.domain_trials"
+           ~labels:[ ("domain", "0") ]
+         = None);
+      let total =
+        List.fold_left
+          (fun acc w ->
+            match domain_trials w with
+            | Some st -> acc +. Stats.total st
+            | None -> Alcotest.failf "no runner.domain_trials for domain %d" w)
+          0.0 [ 0; 1; 2; 3 ]
+      in
+      Alcotest.(check (float 0.0)) "every trial attributed to a domain" 24.0
+        total)
+
+(* Exports of a real fan-out (Figure 7 trials) under a state: byte-equal
+   at jobs 1 and 4, with the wide batch really dispatched on four domains,
+   and the trace equal to running the same trials in a plain loop. *)
+let test_exports_width_independent () =
+  let trial i = Satin.Experiment.fig7_trial ~seed:5 ~window_s:2 ~trial_index:i in
+  let n = 16 in
+  let recorded f =
+    let obs = Obs.create () in
+    Obs.with_state obs f;
+    obs
+  in
+  let fan_out pool () = ignore (Runner.map pool n trial) in
+  let direct = recorded (fun () -> for i = 0 to n - 1 do ignore (trial i) done) in
+  let seq = recorded (fan_out Runner.sequential) in
+  let par = recorded (fan_out (Runner.create ~clamp:false ~jobs:4 ())) in
+  let metrics obs = Json.to_string (Obs.metrics_json obs)
+  and trace obs = Json.to_string (Obs.trace_json obs) in
+  Alcotest.(check string) "metrics_json jobs 1 = jobs 4" (metrics seq) (metrics par);
+  Alcotest.(check string) "trace_json jobs 1 = jobs 4" (trace seq) (trace par);
+  Alcotest.(check string) "trace_json = plain loop" (trace direct) (trace seq);
+  Alcotest.(check bool) "non-trivial trace" true (String.length (trace seq) > 5_000);
+  match Metrics.histogram_stats (Obs.wall_metrics par) "runner.jobs_effective" with
+  | Some st -> Alcotest.(check (float 0.0)) "dispatched on 4 domains" 4.0 (Stats.max st)
+  | None -> Alcotest.fail "runner.jobs_effective not recorded"
 
 let suite =
   [
@@ -158,4 +203,6 @@ let suite =
     Alcotest.test_case "map_list" `Quick test_map_list;
     Alcotest.test_case "wall clock recorded" `Quick test_wall_clock_recorded;
     Alcotest.test_case "metrics under sink" `Quick test_metrics_under_sink;
+    Alcotest.test_case "exports width-independent" `Quick
+      test_exports_width_independent;
   ]

@@ -8,6 +8,9 @@ module Telemetry = Satin_store.Telemetry
 module Runner = Satin_runner.Runner
 module Obs = Satin_obs.Obs
 module Json = Satin_obs.Json
+module Metrics = Satin_obs.Metrics
+module Capsule = Satin_obs.Capsule
+module Stats = Satin_engine.Stats
 
 let tmp_dir =
   let counter = ref 0 in
@@ -343,6 +346,55 @@ let test_collect_skips_corrupt_capsules () =
   | Error e -> Alcotest.fail e
   | Ok r -> Alcotest.(check int) "seven survivors" 7 r.Telemetry.trials
 
+(* A store-backed fan-out under an observability state: the state's
+   trial-level counters are exactly the sum of the sealed capsules', at
+   any width — each capsule's samples reach the state once. *)
+let test_sink_equals_capsule_sum () =
+  let trial_series =
+    [
+      ("t.work", []);
+      ("t.core_hits", [ ("core", "0") ]);
+      ("t.core_hits", [ ("core", "1") ]);
+    ]
+  in
+  let check_width jobs =
+    let dir = tmp_dir () in
+    let obs = Obs.create () in
+    Obs.install obs;
+    Fun.protect ~finally:Obs.uninstall (fun () ->
+        ignore (run_campaign (Runner.create ~clamp:false ~jobs ()) dir));
+    let capsule_sum (name, labels) =
+      Store.fold_capsules (Store.open_ dir) ~init:0
+        ~f:(fun acc ~key:_ ~experiment:_ payload ->
+          match Capsule.of_string payload with
+          | Error e -> Alcotest.fail e
+          | Ok c ->
+              List.fold_left
+                (fun acc (n, l, v) ->
+                  match v with
+                  | Capsule.Counter k when n = name && l = labels -> acc + k
+                  | _ -> acc)
+                acc c.Capsule.series)
+    in
+    List.iter
+      (fun ((name, labels) as series) ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "jobs %d: %s = capsule sum" jobs name)
+          (Some (capsule_sum series))
+          (Metrics.counter_value (Obs.metrics obs) ~labels name))
+      trial_series;
+    match
+      Metrics.histogram_stats (Obs.wall_metrics obs) "runner.jobs_effective"
+    with
+    | Some st ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "jobs %d: dispatch width" jobs)
+          (float_of_int jobs) (Stats.max st)
+    | None -> Alcotest.fail "runner.jobs_effective not recorded"
+  in
+  check_width 1;
+  check_width 4
+
 let test_collect_empty_store_errors () =
   let dir = tmp_dir () in
   let s = Store.open_ dir in
@@ -373,4 +425,6 @@ let suite =
       test_collect_skips_corrupt_capsules;
     Alcotest.test_case "collect on empty store errors" `Quick
       test_collect_empty_store_errors;
+    Alcotest.test_case "sink totals = capsule sum (jobs 1, 4)" `Quick
+      test_sink_equals_capsule_sum;
   ]
