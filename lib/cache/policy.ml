@@ -110,11 +110,13 @@ let victim kind ~state ~off ~ways ~locked ~prng =
         !found
       end
   | Rand ->
+      (* Ways neither locked nor MRU are eligible: fold the MRU way into the
+         mask so eligibility is one bit test, with no closure per call. *)
       let mru = state.(off) in
-      let eligible w = locked land (1 lsl w) = 0 && w <> mru in
+      let excluded = if mru >= 0 then locked lor (1 lsl mru) else locked in
       let n = ref 0 in
       for w = 0 to ways - 1 do
-        if eligible w then incr n
+        if excluded land (1 lsl w) = 0 then incr n
       done;
       if !n = 0 then
         (* Only the MRU way (if anything) is unlocked. *)
@@ -123,7 +125,7 @@ let victim kind ~state ~off ~ways ~locked ~prng =
         let pick = Prng.int prng !n in
         let seen = ref 0 and chosen = ref (-1) in
         for w = 0 to ways - 1 do
-          if eligible w then begin
+          if excluded land (1 lsl w) = 0 then begin
             if !seen = pick then chosen := w;
             incr seen
           end

@@ -1,13 +1,22 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   record field boxes a fresh int64 on every store, i.e. on every draw.
+   [Bytes.get/set_int64_ne] are compiler primitives, so a draw that is
+   consumed as an int (or written straight to a buffer) allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let create seed = of_state (mix64 (Int64.of_int seed))
 
 let derive seed index =
   (* Two mix64 rounds over (seed, index) — a full-avalanche combiner, so
@@ -19,21 +28,45 @@ let derive seed index =
           (mix64 (Int64.of_int seed))
           (Int64.mul golden_gamma (Int64.of_int (index + 1)))))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let split t =
-  let s = next_int64 t in
-  { state = mix64 s }
+let split t = of_state (mix64 (next_int64 t))
+let copy t = Bytes.copy t
 
-let copy t = { state = t.state }
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] bits t =
+  Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let float01 t =
   (* 53 high bits of the 64-bit output, scaled to [0, 1). *)
   let x = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float x *. (1.0 /. 9007199254740992.0)
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let fill_le t buf ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Prng.fill_le: range out of bounds";
+  let stop = off + len in
+  let i = ref off in
+  while !i + 8 <= stop do
+    let v = next_int64 t in
+    if Sys.big_endian then Bytes.set_int64_ne buf !i (swap64 v)
+    else Bytes.set_int64_ne buf !i v;
+    i := !i + 8
+  done;
+  if !i < stop then begin
+    (* A final partial word keeps its low-order (first little-endian)
+       bytes, the rest of the draw is discarded. *)
+    let v = next_int64 t in
+    for j = !i to stop - 1 do
+      Bytes.unsafe_set buf j
+        (Char.unsafe_chr
+           (Int64.to_int (Int64.shift_right_logical v (8 * (j - !i))) land 0xff))
+    done
+  end
 
 let uniform t a b =
   assert (a <= b);
@@ -44,13 +77,14 @@ let int t bound =
   (* Rejection sampling over 62 bits for exact uniformity. *)
   let mask_bound = bound - 1 in
   if bound land mask_bound = 0 then bits t land mask_bound
-  else
-    let limit = max_int / 2 / bound * bound in
-    let rec draw () =
-      let x = bits t in
-      if x < limit * 2 then x mod bound else draw ()
-    in
-    draw ()
+  else begin
+    let limit2 = max_int / 2 / bound * bound * 2 in
+    let x = ref (bits t) in
+    while !x >= limit2 do
+      x := bits t
+    done;
+    !x mod bound
+  end
 
 let bool t = Int64.compare (next_int64 t) 0L < 0
 let bernoulli t p = float01 t < p

@@ -5,7 +5,12 @@
     splitmix64 (Steele, Lea & Flood 2014): tiny state, excellent statistical
     quality for simulation purposes, and cheap splitting into independent
     streams so that concurrent simulated components do not perturb each
-    other's sequences when the event interleaving changes. *)
+    other's sequences when the event interleaving changes.
+
+    The state is held unboxed, so {!bits}, {!int} and {!fill_le} allocate
+    nothing per draw (a tier-1 test pins this, and golden values pin the
+    stream itself). {!next_int64} and the float deviates return boxed
+    values to callers in other modules. *)
 
 type t
 
@@ -28,6 +33,14 @@ val copy : t -> t
 
 val next_int64 : t -> int64
 (** Uniform over all 2{^64} values. *)
+
+val fill_le : t -> Bytes.t -> off:int -> len:int -> unit
+(** [fill_le t buf ~off ~len] writes successive {!next_int64} outputs into
+    [buf.[off .. off+len-1]], each as 8 little-endian bytes. A final partial
+    word takes one more draw and keeps its first [len mod 8] little-endian
+    bytes, so the result equals appending [ceil (len / 8)] draws to a
+    buffer and truncating it to [len] bytes. Raises [Invalid_argument] if
+    the range exceeds [buf]. *)
 
 val bits : t -> int
 (** 62 uniform non-negative bits as a native int. *)

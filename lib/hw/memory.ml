@@ -190,6 +190,15 @@ let with_range_ro t ~world ~addr ~len ~f =
   check_range t ~world ~addr ~len;
   f t.data addr
 
+(* [write_string]'s checks and notification around an in-place fill, so a
+   bulk writer need not build the string first. *)
+let with_range_rw t ~world ~addr ~len ~f =
+  check_range t ~world ~addr ~len;
+  check_guards t ~world ~addr ~len;
+  let v = f t.data addr in
+  notify_write t ~addr ~len;
+  v
+
 (* Unvalidated word loads for loops inside a [with_range_ro] window: the
    range check already ran once for the whole window, so per-load bounds
    checks in a block-compare sweep are pure overhead. *)

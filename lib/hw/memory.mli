@@ -69,6 +69,16 @@ val with_range_ro :
     specialized loops over. [f] must treat the bytes as read-only, stay
     within [\[addr, addr+len)], and must not let the buffer escape. *)
 
+val with_range_rw :
+  t -> world:World.t -> addr:int -> len:int -> f:(Bytes.t -> int -> 'a) -> 'a
+(** [with_range_rw t ~world ~addr ~len ~f] is the write counterpart of
+    {!with_range_ro}: it runs {!write_string}'s range and guard checks for
+    [\[addr, addr+len)], applies [f backing addr] so [f] writes the range in
+    place, then notifies the write once for the whole range — generation
+    stamps and watchers see exactly what a [write_string] of the same bytes
+    would produce. [f] must stay within [\[addr, addr+len)], must not
+    raise, and must not let the buffer escape. *)
+
 external unsafe_get_int64_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 (** Native-endian 64-bit load with {e no} bounds check, for word-level
     sweeps over a window an enclosing {!with_range_ro} already validated.

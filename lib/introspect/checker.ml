@@ -138,14 +138,18 @@ let enroll t ~base ~len =
       ~f:(fun data off -> Bytes.sub_string data off len)
   in
   if len > Bytes.length t.scratch then t.scratch <- Bytes.create len;
-  let hash = Hash.hash_string t.algo content in
+  let blocks = make_block_cache t ~base ~content in
+  (* Combinable algorithms fold the block digests just computed into the
+     whole-range hash (bit-identical by the affine factorization), so
+     enrollment makes one hashing pass over the range, not two. *)
+  let hash =
+    if Hash.combinable t.algo then
+      Hash.combine_blocks (Hash.init t.algo) ~pows:blocks.c_pow
+        ~digests:blocks.c_gold_digest
+    else Hash.hash_string t.algo content
+  in
   Hashtbl.replace t.golden (base, len)
-    {
-      g_len = len;
-      g_content = content;
-      g_hash = hash;
-      g_blocks = make_block_cache t ~base ~content;
-    };
+    { g_len = len; g_content = content; g_hash = hash; g_blocks = blocks };
   hash
 
 let enrolled_hash t ~base ~len =

@@ -138,6 +138,19 @@ let block_digest_string algo s ~off ~len =
 
 let[@inline] combine_block h ~pow ~digest = Int64.add (Int64.mul h pow) digest
 
+(* Folded here, where [combine_block] inlines, so the running state stays
+   unboxed: a caller folding block by block boxes it twice per block. *)
+let combine_blocks h ~pows ~digests =
+  if Array.length pows <> Array.length digests then
+    invalid_arg "Hash.combine_blocks: pows and digests differ in length";
+  let h = ref h in
+  for b = 0 to Array.length digests - 1 do
+    h :=
+      combine_block !h ~pow:(Array.unsafe_get pows b)
+        ~digest:(Array.unsafe_get digests b)
+  done;
+  !h
+
 let hash_bytes algo b = hash_sub algo b ~off:0 ~len:(Bytes.length b)
 let hash_string algo s = hash_bytes algo (Bytes.unsafe_of_string s)
 

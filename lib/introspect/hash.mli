@@ -64,6 +64,12 @@ val combine_block : int64 -> pow:int64 -> digest:int64 -> int64
     running state [h]. Bit-identical to feeding the block's bytes one at a
     time (combinable algorithms only). *)
 
+val combine_blocks : int64 -> pows:int64 array -> digests:int64 array -> int64
+(** [combine_blocks h ~pows ~digests] folds {!combine_block} over the
+    blocks in order: the hash of a range from its cached block digests,
+    allocating only the result. Raises [Invalid_argument] if the arrays
+    differ in length. *)
+
 val hash_region :
   algo ->
   Satin_hw.Memory.t ->

@@ -182,13 +182,11 @@ let install t memory ~seed =
   in
   let prng = Prng.create seed in
   (* Fill the image 8 bytes at a time with deterministic pseudo-random
-     content so that integrity hashes are non-trivial. *)
-  let buf = Buffer.create t.total_size in
-  while Buffer.length buf < t.total_size do
-    Buffer.add_int64_le buf (Prng.next_int64 prng)
-  done;
-  Memory.write_string memory ~world:Satin_hw.World.Secure ~addr:t.base
-    (String.sub (Buffer.contents buf) 0 t.total_size);
+     content so that integrity hashes are non-trivial — in place, with one
+     write notification for the whole image. *)
+  Memory.with_range_rw memory ~world:Satin_hw.World.Secure ~addr:t.base
+    ~len:t.total_size ~f:(fun data off ->
+      Prng.fill_le prng data ~off ~len:t.total_size);
   (* Syscall table entries look like kernel text pointers. *)
   let tbl = Buffer.create syscall_table_size in
   for n = 0 to syscall_table_entries - 1 do

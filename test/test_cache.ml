@@ -44,6 +44,67 @@ let prop_plru_is_lru_at_two_ways =
       = Policy.victim Policy.Tree_plru ~state:plru ~off:0 ~ways:2 ~locked:0
           ~prng:(prng ()))
 
+(* The Rand victim as it was written with an [eligible] closure: the
+   closure-free rewrite must pick the same way and make the same draws. *)
+let rand_victim_reference ~mru ~ways ~locked ~prng =
+  let eligible w = locked land (1 lsl w) = 0 && w <> mru in
+  let n = ref 0 in
+  for w = 0 to ways - 1 do
+    if eligible w then incr n
+  done;
+  if !n = 0 then if mru >= 0 && locked land (1 lsl mru) = 0 then mru else -1
+  else begin
+    let pick = Prng.int prng !n in
+    let seen = ref 0 and chosen = ref (-1) in
+    for w = 0 to ways - 1 do
+      if eligible w then begin
+        if !seen = pick then chosen := w;
+        incr seen
+      end
+    done;
+    !chosen
+  end
+
+let prop_rand_victim_matches_reference =
+  QCheck.Test.make ~name:"rand victim = closure-based reference (way + draws)"
+    ~count:300
+    QCheck.(triple (int_range 1 16) (int_bound 0xffff) (int_range (-1) 15))
+    (fun (ways, lock_bits, mru) ->
+      let locked = lock_bits land ((1 lsl ways) - 1) in
+      let mru = if mru >= ways then -1 else mru in
+      let state = [| mru |] in
+      let p1 = prng () and p2 = prng () in
+      let v =
+        Policy.victim Policy.Rand ~state ~off:0 ~ways ~locked ~prng:p1
+      in
+      let r = rand_victim_reference ~mru ~ways ~locked ~prng:p2 in
+      v = r && Int64.equal (Prng.next_int64 p1) (Prng.next_int64 p2))
+
+let test_victim_allocation_free () =
+  let n = 10_000 and ways = 16 in
+  let p = prng () in
+  List.iter
+    (fun kind ->
+      let state = run_trace kind ~ways [ 3; 9; 1; 14; 7 ] in
+      let sink = ref 0 in
+      let pass () =
+        for i = 1 to n do
+          (* vary the locked mask so Rand's eligible count (and so the
+             rejection path of its draw) varies too *)
+          let locked = (i * 0x9e37) land 0x3f0f in
+          sink := !sink + Policy.victim kind ~state ~off:0 ~ways ~locked ~prng:p
+        done
+      in
+      pass ();
+      let w0 = Gc.minor_words () in
+      pass ();
+      let w = (Gc.minor_words () -. w0) /. float_of_int n in
+      ignore (Sys.opaque_identity !sink);
+      if w > 0.01 then
+        Alcotest.failf "%s victim allocates %.3f minor words/call"
+          (Policy.kind_to_string kind) w)
+    Policy.all
+
 let test_policy_validate () =
   Alcotest.check_raises "plru needs pow2"
     (Invalid_argument "Policy.validate: Tree_plru needs a power-of-two ways")
@@ -160,6 +221,9 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_no_policy_evicts_just_touched;
     QCheck_alcotest.to_alcotest prop_plru_is_lru_at_two_ways;
+    QCheck_alcotest.to_alcotest prop_rand_victim_matches_reference;
+    Alcotest.test_case "victim allocation-free" `Quick
+      test_victim_allocation_free;
     Alcotest.test_case "policy validation" `Quick test_policy_validate;
     Alcotest.test_case "touch levels and counters" `Quick
       test_touch_levels_and_counters;

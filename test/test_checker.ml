@@ -236,6 +236,36 @@ let test_enrolled_hash_lookup () =
   Alcotest.(check (option int64)) "present after" (Some h)
     (Checker.enrolled_hash checker ~base ~len)
 
+(* Enrollment folds the per-block digests into the golden hash for the
+   combinable algorithms: the result must equal one straight hash of the
+   live bytes, whatever the range's alignment against the 4 KiB blocks
+   (unaligned start, shorter than a page, spanning several pages). *)
+let enroll_memory =
+  lazy
+    (let m = Memory.create ~size:(64 * 1024) in
+     let p = Prng.create 99 in
+     Memory.with_range_rw m ~world:World.Secure ~addr:0 ~len:(64 * 1024)
+       ~f:(fun data off -> Prng.fill_le p data ~off ~len:(64 * 1024));
+     m)
+
+let prop_enroll_hash_is_straight_hash =
+  let page = Memory.gen_page_size in
+  QCheck.Test.make ~name:"enroll hash = hash_string of live bytes" ~count:300
+    QCheck.(
+      triple (oneofl Hash.all_algos)
+        (oneof [ map (fun p -> p * page) (int_bound 6); int_bound (6 * page) ])
+        (oneof [ int_range 1 (page - 1); int_range page (8 * page) ]))
+    (fun (algo, base, len) ->
+      let memory = Lazy.force enroll_memory in
+      let checker =
+        Checker.create ~memory ~cycle:Cycle_model.default
+          ~prng:(Prng.create 1) ~algo ~style:Checker.Direct_hash ()
+      in
+      let live =
+        Bytes.to_string (Memory.read_bytes memory ~world:World.Secure ~addr:base ~len)
+      in
+      Int64.equal (Checker.enroll checker ~base ~len) (Hash.hash_string algo live))
+
 (* Property: for a single tampered byte restored at time T, the verdict
    matches the closed-form race predicate — tampered iff the scan front
    passes the byte before the restore lands. *)
@@ -283,4 +313,5 @@ let suite =
       test_snapshot_buffer_no_growth;
     Alcotest.test_case "enrolled hash lookup" `Quick test_enrolled_hash_lookup;
     QCheck_alcotest.to_alcotest prop_race_predicate;
+    QCheck_alcotest.to_alcotest prop_enroll_hash_is_straight_hash;
   ]

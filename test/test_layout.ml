@@ -84,6 +84,69 @@ let test_install_content () =
     (Int64.add 0xffff000008080000L (Int64.of_int (178 * 0x400)))
     e178
 
+(* Reference build of the image: LE draws appended to a buffer, truncated
+   to the image size and written with one [write_string]; then the syscall
+   table. [Layout.install] must match it byte for byte and stamp for
+   stamp. *)
+let install_reference l memory ~seed =
+  let size = Layout.total_size l in
+  ignore
+    (Memory.add_region memory ~name:"kernel_image" ~base:(Layout.base l) ~size
+       ~security:Memory.Non_secure_region);
+  let prng = Satin_engine.Prng.create seed in
+  let buf = Buffer.create size in
+  while Buffer.length buf < size do
+    Buffer.add_int64_le buf (Satin_engine.Prng.next_int64 prng)
+  done;
+  Memory.write_string memory ~world:World.Secure ~addr:(Layout.base l)
+    (String.sub (Buffer.contents buf) 0 size);
+  let table = Layout.syscall_table l in
+  let tbl = Buffer.create table.Layout.sym_size in
+  for n = 0 to (table.Layout.sym_size / 8) - 1 do
+    Buffer.add_int64_le tbl
+      (Int64.add 0xffff000008080000L (Int64.of_int (n * 0x400)))
+  done;
+  Memory.write_string memory ~world:World.Secure
+    ~addr:table.Layout.sym_addr (Buffer.contents tbl)
+
+let check_install_matches_reference name l ~mem_size =
+  let seed = 0xBEEF in
+  let fresh = Memory.create ~size:mem_size and reference = Memory.create ~size:mem_size in
+  ignore (Layout.install l fresh ~seed);
+  install_reference l reference ~seed;
+  let all m = Memory.read_bytes m ~world:World.Secure ~addr:0 ~len:mem_size in
+  Alcotest.(check bool) (name ^ ": same bytes") true
+    (Bytes.equal (all fresh) (all reference));
+  Alcotest.(check int) (name ^ ": same write count")
+    (Memory.write_generation reference) (Memory.write_generation fresh);
+  let page = Memory.gen_page_size in
+  for p = 0 to (mem_size / page) - 1 do
+    let g m = Memory.generation m ~addr:(p * page) ~len:page in
+    if g fresh <> g reference then
+      Alcotest.failf "%s: page %d stamped %d, reference %d" name p (g fresh)
+        (g reference)
+  done
+
+let test_install_matches_reference () =
+  check_install_matches_reference "paper layout" layout
+    ~mem_size:(16 * 1024 * 1024);
+  let l = Layout.synthetic ~base:12_340 ~total_size:1_000_003 ~areas:7 ~seed:5 in
+  Alcotest.(check bool) "synthetic size not a multiple of 8" true
+    (Layout.total_size l mod 8 <> 0);
+  check_install_matches_reference "synthetic layout" l
+    ~mem_size:(2 * 1024 * 1024)
+
+(* A scenario boot fills the 11.9 MB image in place: what it allocates is
+   the layout's symbol list and the platform's small structures, never
+   anything proportional to the image. *)
+let test_scenario_boot_allocation () =
+  ignore (Satin.Scenario.create ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Satin.Scenario.create ()));
+  let w = Gc.minor_words () -. w0 in
+  if w > 100_000.0 then
+    Alcotest.failf "Scenario.create allocates %.0f minor words (ceiling 100k)" w
+
 let test_synthetic_layout () =
   let l = Layout.synthetic ~base:4096 ~total_size:1_000_000 ~areas:7 ~seed:3 in
   let sizes = Layout.canonical_area_sizes l in
@@ -117,6 +180,10 @@ let suite =
     Alcotest.test_case "area index boundaries" `Quick test_area_index_boundaries;
     Alcotest.test_case "find symbol" `Quick test_find_symbol;
     Alcotest.test_case "install content" `Quick test_install_content;
+    Alcotest.test_case "install = buffered reference" `Quick
+      test_install_matches_reference;
+    Alcotest.test_case "scenario boot allocation" `Quick
+      test_scenario_boot_allocation;
     Alcotest.test_case "synthetic layout" `Quick test_synthetic_layout;
     QCheck_alcotest.to_alcotest prop_synthetic_valid;
   ]

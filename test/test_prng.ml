@@ -143,6 +143,105 @@ let test_sim_duration_positive () =
     if d <= 0 then Alcotest.fail "sim_duration not positive"
   done
 
+(* Golden values of the seed-42 stream, recorded before the state went
+   unboxed: the representation may change, the stream may not (every
+   experiment's output is a function of it). *)
+let test_golden_stream () =
+  let hex64 = Alcotest.testable (fun f v -> Format.fprintf f "0x%016Lx" v) Int64.equal in
+  let p = Prng.create 42 in
+  List.iter
+    (fun v -> Alcotest.check hex64 "next_int64" v (Prng.next_int64 p))
+    [
+      0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L; 0xc2bc249e28760ccdL;
+      0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L; 0xe2df09f8ccf26f14L;
+      0xe664fb166d3dc14cL; 0x1494766cf71b64b6L; 0x09b78fbf46485568L;
+      0xda9e8d784db0c8f7L;
+    ];
+  let p = Prng.create 42 in
+  List.iter
+    (fun (bound, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "int %d" bound)
+        expected
+        (List.init 8 (fun _ -> Prng.int p bound)))
+    [
+      (7, [ 5; 4; 0; 2; 5; 6; 0; 2 ]);
+      (8, [ 3; 5; 5; 5; 3; 5; 2; 5 ]);
+      (13, [ 5; 2; 3; 3; 8; 4; 4; 2 ]);
+    ];
+  let p = Prng.create 42 in
+  List.iter
+    (fun bits ->
+      Alcotest.check hex64 "float01" bits (Int64.bits_of_float (Prng.float01 p)))
+    [
+      0x3fe31367e26140c7L; 0x3fc486da5f92b86cL; 0x3fc54c85f31d00d8L;
+      0x3fa896d649de0310L;
+    ];
+  let p = Prng.create 42 in
+  let c = Prng.split p in
+  Alcotest.check hex64 "split child" 0x33d3b3229fe0c44dL (Prng.next_int64 c);
+  Alcotest.check hex64 "split parent" 0x290db4bf2570ded7L (Prng.next_int64 p);
+  let p = Prng.create 42 in
+  let buf = Bytes.make 23 '\xff' in
+  Prng.fill_le p buf ~off:1 ~len:21;
+  let hex =
+    String.concat ""
+      (List.init 21 (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get buf (i + 1)))))
+  in
+  Alcotest.(check string) "fill_le 21 bytes"
+    "6938060a133f9b98d7de7025bfb40d29d5b2013ae6" hex;
+  Alcotest.(check char) "fill_le leaves bytes before" '\xff' (Bytes.get buf 0);
+  Alcotest.(check char) "fill_le leaves bytes after" '\xff' (Bytes.get buf 22);
+  Alcotest.check hex64 "fill_le draws ceil (len / 8) words" 0x0c4b6b24ef01890eL
+    (Prng.next_int64 p)
+
+(* [int], [bits] and [fill_le] keep the state unboxed end to end. *)
+let test_draws_allocation_free () =
+  let p = Prng.create 3 in
+  let n = 10_000 in
+  let buf = Bytes.create 4096 in
+  let words_per_draw f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let acc = ref 0 in
+  let check name f =
+    let w = words_per_draw f in
+    if w > 0.01 then Alcotest.failf "%s allocates %.3f minor words/draw" name w
+  in
+  check "int (rejection path)" (fun () ->
+      for _ = 1 to n do
+        acc := !acc + Prng.int p 13
+      done);
+  check "int (power of two)" (fun () ->
+      for _ = 1 to n do
+        acc := !acc + Prng.int p 8
+      done);
+  check "bits" (fun () ->
+      for _ = 1 to n do
+        acc := !acc lxor Prng.bits p
+      done);
+  (* n draws: n / 512 fills of 4096 bytes = 512 words each *)
+  check "fill_le" (fun () ->
+      for _ = 1 to n / 512 do
+        Prng.fill_le p buf ~off:0 ~len:4096
+      done);
+  ignore (Sys.opaque_identity !acc)
+
+let test_fill_le_bounds () =
+  let p = Prng.create 1 in
+  let buf = Bytes.create 16 in
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Prng.fill_le: range out of bounds") (fun () ->
+      Prng.fill_le p buf ~off:9 ~len:8);
+  Alcotest.check_raises "negative length"
+    (Invalid_argument "Prng.fill_le: range out of bounds") (fun () ->
+      Prng.fill_le p buf ~off:0 ~len:(-1))
+
 let prop_pick_member =
   QCheck.Test.make ~name:"pick returns a member"
     QCheck.(array_of_size Gen.(1 -- 20) small_int)
@@ -167,5 +266,9 @@ let suite =
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
     Alcotest.test_case "sim_duration positive" `Quick test_sim_duration_positive;
+    Alcotest.test_case "golden stream (seed 42)" `Quick test_golden_stream;
+    Alcotest.test_case "int/bits/fill_le allocation-free" `Quick
+      test_draws_allocation_free;
+    Alcotest.test_case "fill_le bounds" `Quick test_fill_le_bounds;
     QCheck_alcotest.to_alcotest prop_pick_member;
   ]
